@@ -79,6 +79,14 @@ fn compare_is_quiet_on_identical_digests_and_flags_seeded_perturbation() {
 }
 
 #[test]
+fn table_commands_reject_unknown_flags() {
+    let out = tables(&["table2", "--parallel"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag \"--parallel\""), "{err}");
+}
+
+#[test]
 fn compare_rejects_unreadable_input() {
     let out = tables(&["compare", "/no/such/a.json", "/no/such/b.json"]);
     assert_eq!(out.status.code(), Some(2));
@@ -127,7 +135,7 @@ fn regress_accepts_the_committed_baseline_fixture_and_flags_drift() {
     );
     let out = String::from_utf8_lossy(&ok.stdout);
     assert!(
-        out.contains("8 deterministic fields"),
+        out.contains("5 deterministic fields"),
         "summary must count the gated fields: {out}"
     );
 

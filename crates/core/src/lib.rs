@@ -72,9 +72,8 @@ pub use detour::detour_cluster;
 pub use digest::{config_fingerprint, problem_hash, run_digest};
 pub use error::FlowError;
 pub use flow::PacorFlow;
-// The deterministic fan-out primitives live in `pacor-route` (the
-// negotiation router's speculative mode needs them below this crate in
-// the dependency graph); re-exported here for continuity.
+// The deterministic fan-out primitives live in `pacor-route`;
+// re-exported here for continuity.
 pub use pacor_route::{effective_threads, parallel_map, parallel_map_with};
 pub use physics::PropagationModel;
 pub use problem::{Problem, ProblemBuilder};

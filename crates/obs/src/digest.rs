@@ -6,13 +6,13 @@
 //! per-cluster LM slack), the deterministic counter totals and
 //! histogram quantiles, and — isolated in the single `wall` sub-object
 //! — everything wall-clock- or mode-dependent: the run's thread count
-//! and mode/policy labels, end-to-end wall-clock, the work counters
-//! whose totals legitimately differ between serial and speculative
-//! negotiation (a rejected speculation is an A\* query the serial mode
-//! never ran), and the full span tree with inclusive/exclusive time.
+//! and policy/solver/routing labels, end-to-end wall-clock, the work
+//! counters whose totals legitimately differ between equivalent
+//! configurations (A\* and fan-out work, global-stage planning), and the
+//! full span tree with inclusive/exclusive time.
 //!
 //! Everything outside `wall` is byte-identical at any worker-thread
-//! count, under either negotiation mode, and under either rip-up policy
+//! count, and under either rip-up policy
 //! whenever the policies route the same result — the same guarantee the
 //! post-mortem report makes, extended to a comparable cross-run record.
 //! [`RunDigest::deterministic_json`] renders exactly that invariant
@@ -39,7 +39,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Whether a counter/histogram name is a **work metric**: a total that
-/// legitimately differs between negotiation modes, routing modes or
+/// legitimately differs between routing modes, escape solvers or
 /// scheduling decisions even when the routed result is identical.
 /// Work metrics live in the digest's `wall` sub-object; everything else
 /// is part of the deterministic, comparable record.
@@ -48,18 +48,15 @@ pub fn is_work_metric(name: &str) -> bool {
         || name.starts_with("parallel.")
         || name.starts_with("global.")
         || name == "escape.delta_fallback"
-        || name.ends_with(".speculative")
-        || name.ends_with(".conflicts")
-        || name.ends_with(".serial_fallbacks")
 }
 
 /// What run a digest belongs to: the chip and the deterministic
 /// configuration fields. Two runs with equal fingerprints are expected
 /// to produce byte-identical deterministic sections — the equivalence
-/// axes (threads, negotiation mode, rip-up policy, escape solver,
-/// routing mode) are deliberately **excluded** and recorded in `wall`
-/// instead, so a re-run at a different thread count still finds its
-/// baseline in the ledger.
+/// axes (threads, rip-up policy, escape solver, routing mode) are
+/// deliberately **excluded** and recorded in `wall` instead, so a
+/// re-run at a different thread count still finds its baseline in the
+/// ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     /// Chip/design name.
@@ -211,8 +208,6 @@ impl SpanNode {
 pub struct WallFacts {
     /// Worker threads configured.
     pub threads: u64,
-    /// Negotiation mode label.
-    pub mode: String,
     /// Rip-up policy label.
     pub policy: String,
     /// Escape solver label.
@@ -469,9 +464,11 @@ impl RunDigest {
         if include_wall {
             out.push_str(sep);
             let w = &self.wall;
-            let _ = write!(out, "{ind}\"wall\": {{\"threads\": {}, \"mode\": ", w.threads);
-            crate::export::push_json_string(&mut out, &w.mode);
-            out.push_str(", \"policy\": ");
+            let _ = write!(
+                out,
+                "{ind}\"wall\": {{\"threads\": {}, \"policy\": ",
+                w.threads
+            );
             crate::export::push_json_string(&mut out, &w.policy);
             out.push_str(", \"escape_solver\": ");
             crate::export::push_json_string(&mut out, &w.escape_solver);
@@ -602,7 +599,6 @@ impl RunDigest {
         };
         let wall = WallFacts {
             threads: w.get("threads").and_then(Json::as_u64).ok_or("wall.threads")?,
-            mode: ws("mode")?,
             policy: ws("policy")?,
             escape_solver: ws("escape_solver")?,
             routing: ws("routing")?,
@@ -752,7 +748,6 @@ pub(crate) mod tests {
             )],
             wall: WallFacts {
                 threads: 4,
-                mode: "parallel".into(),
                 policy: "incremental".into(),
                 escape_solver: "incremental".into(),
                 routing: "flat".into(),
@@ -783,6 +778,21 @@ pub(crate) mod tests {
             let back = RunDigest::from_json(&text).expect("parses");
             assert_eq!(back, d, "round-trip drift in: {text}");
         }
+    }
+
+    #[test]
+    fn parses_ledger_lines_that_still_carry_a_mode_label() {
+        // Digests written before the negotiation-mode option was removed
+        // carry `wall.mode`; ledgers holding them must keep loading.
+        let d = sample_digest();
+        let line = d.to_jsonl();
+        let old = line.replacen(
+            "\"threads\": 4, ",
+            "\"threads\": 4, \"mode\": \"serial\", ",
+            1,
+        );
+        assert_ne!(old, line, "the sample must render a wall.threads field");
+        assert_eq!(RunDigest::from_json(&old).expect("old line parses"), d);
     }
 
     #[test]
@@ -850,9 +860,6 @@ pub(crate) mod tests {
             "global.regions",
             "global.corridor_len",
             "escape.delta_fallback",
-            "negotiate.speculative",
-            "mst.conflicts",
-            "negotiate.serial_fallbacks",
         ] {
             assert!(is_work_metric(name), "{name} must be a work metric");
         }

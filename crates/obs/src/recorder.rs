@@ -18,7 +18,7 @@
 //! deterministic commit points (the session thread's attempt loop,
 //! rip-up selection, MST commit order, escape/detour stages), never
 //! inside worker closures, so the log is identical at any worker-thread
-//! count and under either negotiation mode.
+//! count.
 //!
 //! # Bounding
 //!
@@ -140,23 +140,7 @@ pub enum FlightEvent {
         /// Why this victim was selected.
         reason: RipReason,
     },
-    /// A speculative parallel route was rejected (overlapping expansion).
-    ///
-    /// Mode-specific by nature: recorded for the log, excluded from the
-    /// post-mortem report so report bytes stay mode-invariant.
-    SpecConflict {
-        /// Net id of the conflicted request.
-        net: u32,
-    },
-    /// A conflicted/opaque net was re-routed serially in commit order.
-    ///
-    /// Mode-specific like [`FlightEvent::SpecConflict`]; log-only.
-    SerialFallback {
-        /// Net id of the fallen-back request.
-        net: u32,
-    },
-    /// An MST cluster's routing was committed (serial or speculative —
-    /// commit order is identical).
+    /// An MST cluster's routing was committed.
     MstCommit {
         /// Cluster id.
         cluster: u32,
@@ -254,8 +238,6 @@ impl FlightEvent {
             FlightEvent::NegotiationStart { .. } => "negotiation_start",
             FlightEvent::NetAttempt { .. } => "net_attempt",
             FlightEvent::RipUp { .. } => "rip_up",
-            FlightEvent::SpecConflict { .. } => "spec_conflict",
-            FlightEvent::SerialFallback { .. } => "serial_fallback",
             FlightEvent::MstCommit { .. } => "mst_commit",
             FlightEvent::MstSplit { .. } => "mst_split",
             FlightEvent::LmReconstructed { .. } => "lm_reconstructed",
@@ -504,6 +486,15 @@ mod tests {
         }
     }
 
+    /// A small payload event tagged with `cluster`.
+    fn commit(cluster: u32) -> FlightEvent {
+        FlightEvent::MstCommit {
+            cluster,
+            edges: 0,
+            length: 0,
+        }
+    }
+
     #[test]
     fn inactive_recorder_records_nothing() {
         assert!(!flight_active());
@@ -549,14 +540,14 @@ mod tests {
         {
             let _pause = flight_pause();
             assert!(!flight_active());
-            flight(|| FlightEvent::SpecConflict { net: 9 });
+            flight(|| commit(9));
         }
         assert!(flight_active(), "guard drop must reinstall the recorder");
-        flight(|| FlightEvent::SpecConflict { net: 1 });
+        flight(|| commit(1));
         let log = flight_take().unwrap();
         assert_eq!(log.sessions(), s, "session counter survives the pause");
         assert_eq!(log.events().len(), 2, "paused events must not be recorded");
-        assert_eq!(log.events()[1].kind(), "spec_conflict");
+        assert_eq!(log.events()[1].kind(), "mst_commit");
     }
 
     #[test]
@@ -570,7 +561,7 @@ mod tests {
     fn ring_drops_oldest_events() {
         flight_install(cfg(3));
         for net in 0..5 {
-            flight(|| FlightEvent::SpecConflict { net });
+            flight(|| commit(net));
         }
         let log = flight_take().unwrap();
         assert_eq!(log.dropped_events(), 2);
@@ -578,7 +569,7 @@ mod tests {
             .events()
             .iter()
             .map(|e| match e {
-                FlightEvent::SpecConflict { net } => *net,
+                FlightEvent::MstCommit { cluster, .. } => *cluster,
                 _ => unreachable!(),
             })
             .collect();

@@ -91,10 +91,6 @@ pub struct AStarScratch {
     parent: Vec<u32>,
     stamp: Vec<u32>,
     target_stamp: Vec<u32>,
-    /// Cells the query actually *popped* (expanded), as opposed to merely
-    /// stamped into the open list — the speculative negotiation commit
-    /// rule is built on this set (see [`AStarScratch::expanded_cells`]).
-    expanded_stamp: Vec<u32>,
     /// Bucket queue for unit-cost searches, indexed by f / SCALE.
     buckets: Vec<Vec<Open>>,
     /// Heap for history-weighted searches: `(f, g, point key, idx)`.
@@ -120,14 +116,12 @@ impl AStarScratch {
             self.parent = vec![NO_PARENT; n];
             self.stamp = vec![0; n];
             self.target_stamp = vec![0; n];
-            self.expanded_stamp = vec![0; n];
             self.generation = 0;
         }
         if self.generation == u32::MAX {
             // Stamp wrap-around: pay one full clear every 2^32 queries.
             self.stamp.fill(0);
             self.target_stamp.fill(0);
-            self.expanded_stamp.fill(0);
             self.generation = 0;
         }
         self.generation += 1;
@@ -162,27 +156,12 @@ impl AStarScratch {
             .map(|(i, _)| self.point_of(i))
     }
 
-    /// Iterates every cell the most recent query *expanded* (popped off
-    /// its open list), a subset of [`AStarScratch::touched_cells`].
-    ///
-    /// The search only reads the obstacle map at cells it expands and at
-    /// their immediate neighbors it steps into — so two runs of the same
-    /// query against obstacle maps that differ *only on cells outside
-    /// this set* pop the identical cell sequence and return the
-    /// identical result. That containment is exactly what the parallel
-    /// negotiation mode's commit rule checks (DESIGN.md §10). After a
-    /// *failed* search the expanded set equals the touched set (the open
-    /// list drains completely).
-    ///
-    /// Same caveat as [`AStarScratch::touched_cells`]: only meaningful
-    /// directly after the flat kernel ran on this scratch.
-    pub fn expanded_cells(&self) -> impl Iterator<Item = Point> + '_ {
-        let generation = self.generation;
-        self.expanded_stamp
-            .iter()
-            .enumerate()
-            .filter(move |(_, &s)| s == generation)
-            .map(|(i, _)| self.point_of(i))
+    /// Number of cells the most recent query *expanded* (popped off its
+    /// open list). Counted on every query, whether or not a `pacor-obs`
+    /// frame is listening; same caveat as
+    /// [`AStarScratch::touched_cells`].
+    pub fn expansions(&self) -> u64 {
+        self.stats.expansions
     }
 
     /// Follows the parent chain from `idx` back to a source and returns
@@ -284,9 +263,8 @@ impl<'a> AStar<'a> {
 
         scratch.begin(width, height);
         // Monomorphize on whether a recording frame is listening: the
-        // untracked instantiation compiles the counter updates away
-        // entirely, so unconfigured runs keep the pre-obs codegen. The
-        // tracked twin stays outlined so only one copy of the search
+        // untracked instantiation compiles the queue-push counters away
+        // and keeps only the per-query expansion count. The tracked twin stays outlined so only one copy of the search
         // loop lands in this (hot) function body.
         if pacor_obs::active() {
             self.flat_search_tracked(sources, targets, scratch)
@@ -295,8 +273,9 @@ impl<'a> AStar<'a> {
         }
     }
 
-    /// The recording variant of the kernel: counts expansions and queue
-    /// pushes, then flushes them into the active `pacor-obs` frame.
+    /// The recording variant of the kernel: also counts queue pushes,
+    /// then flushes the per-query counts into the active `pacor-obs`
+    /// frame.
     #[cold]
     #[inline(never)]
     fn flat_search_tracked(
@@ -311,7 +290,8 @@ impl<'a> AStar<'a> {
     }
 
     /// The flat-kernel search body, monomorphized on `TRACK`: the
-    /// `false` instantiation carries no counter updates at all.
+    /// `false` instantiation counts only expansions (see
+    /// [`AStarScratch::expansions`]).
     #[inline(always)]
     fn flat_search<const TRACK: bool>(
         &self,
@@ -426,10 +406,7 @@ impl<'a> AStar<'a> {
             };
             let e = scratch.buckets[cursor].swap_remove(pos);
             let p_idx = e.idx as usize;
-            scratch.expanded_stamp[p_idx] = generation;
-            if TRACK {
-                scratch.stats.expansions += 1;
-            }
+            scratch.stats.expansions += 1;
             if scratch.target_stamp[p_idx] == generation {
                 return Some(scratch.reconstruct(p_idx));
             }
@@ -490,10 +467,7 @@ impl<'a> AStar<'a> {
             if scratch.g[p_idx] < g {
                 continue; // stale entry
             }
-            scratch.expanded_stamp[p_idx] = generation;
-            if TRACK {
-                scratch.stats.expansions += 1;
-            }
+            scratch.stats.expansions += 1;
             if scratch.target_stamp[p_idx] == generation {
                 return Some(scratch.reconstruct(p_idx));
             }
@@ -863,40 +837,6 @@ mod tests {
                 AStar::new(&large).route_reference(&[Point::new(0, 0)], &[Point::new(29, 9)])
             );
         }
-    }
-
-    #[test]
-    fn expanded_cells_contain_path_and_drain_on_failure() {
-        use std::collections::HashSet;
-        let mut g = Grid::new(9, 9).unwrap();
-        for y in 0..8 {
-            g.set_obstacle(Point::new(4, y));
-        }
-        let obs = ObsMap::new(&g);
-        let astar = AStar::new(&obs);
-        let mut scratch = AStarScratch::new();
-        let p = astar
-            .route_with_scratch(&[Point::new(1, 1)], &[Point::new(7, 1)], &mut scratch)
-            .unwrap();
-        let expanded: HashSet<Point> = scratch.expanded_cells().collect();
-        let touched: HashSet<Point> = scratch.touched_cells().collect();
-        assert!(expanded.is_subset(&touched));
-        for c in p.iter() {
-            assert!(expanded.contains(c), "path cell {c} was never expanded");
-        }
-        // Failed search: the open list drains, so every reached cell is
-        // also expanded.
-        for y in 0..9 {
-            g.set_obstacle(Point::new(4, y));
-        }
-        let obs = ObsMap::new(&g);
-        assert!(AStar::new(&obs)
-            .route_with_scratch(&[Point::new(1, 1)], &[Point::new(7, 1)], &mut scratch)
-            .is_none());
-        let expanded: HashSet<Point> = scratch.expanded_cells().collect();
-        let touched: HashSet<Point> = scratch.touched_cells().collect();
-        assert_eq!(expanded, touched, "failed search must drain its queue");
-        assert!(!expanded.is_empty());
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn run_without_detour(problem: &Problem) -> Vec<pacor_repro::pacor::RoutedCluste
     for (c, p) in lm_out.failed {
         ord.push((Cluster::new(c.id(), c.members().to_vec(), false), p));
     }
-    routed.extend(route_ordinary_clusters(&mut obs, ord, &mut next_id, &cfg));
+    routed.extend(route_ordinary_clusters(&mut obs, ord, &mut next_id));
     escape_all(&mut obs, &mut routed, &problem.pins, &cfg, &mut next_id);
     routed
 }

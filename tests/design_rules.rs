@@ -44,7 +44,7 @@ fn assert_disjoint_nets(problem: &Problem) {
     for (c, p) in lm_out.failed {
         ord.push((Cluster::new(c.id(), c.members().to_vec(), false), p));
     }
-    routed.extend(route_ordinary_clusters(&mut obs, ord, &mut next_id, &cfg));
+    routed.extend(route_ordinary_clusters(&mut obs, ord, &mut next_id));
     escape_all(&mut obs, &mut routed, &problem.pins, &cfg, &mut next_id);
 
     // Collect every net's cells: internal + escape.
@@ -146,7 +146,7 @@ fn escape_paths_end_on_distinct_pins() {
         })
         .collect();
     let mut next_id = 100;
-    let mut routed = route_ordinary_clusters(&mut obs, input, &mut next_id, &FlowConfig::default());
+    let mut routed = route_ordinary_clusters(&mut obs, input, &mut next_id);
     escape_all(
         &mut obs,
         &mut routed,

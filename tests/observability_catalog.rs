@@ -1,12 +1,11 @@
 //! Anti-rot guard for `docs/OBSERVABILITY.md`: run a smoke flow that
-//! exercises both negotiation modes and both rip-up policies with the
-//! flight recorder installed and the telemetry stream collecting, and
+//! exercises both rip-up policies with the flight recorder installed and the telemetry stream collecting, and
 //! assert that every counter, histogram, span, instant, recorder-event
 //! name, and telemetry event kind actually emitted appears in the
 //! catalog. Adding an emit site without cataloging it fails here.
 
 use pacor_repro::pacor::obs::{self, TraceEvent};
-use pacor_repro::pacor::route::{NegotiationMode, RipUpPolicy};
+use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{self, synthesize_params, DesignParams, FlowConfig, PacorFlow, RoutingMode};
 use std::collections::BTreeSet;
 
@@ -36,9 +35,7 @@ fn every_emitted_name_is_catalogued() {
     let problem = synthesize_params(DENSE, 42);
 
     let session = obs::Session::begin();
-    let config = FlowConfig::default()
-        .with_threads(4)
-        .with_negotiation_mode(NegotiationMode::Parallel);
+    let config = FlowConfig::default().with_threads(4);
     obs::flight_install(config.recorder_config());
     let sink = obs::MemorySink::new();
     let lines_handle = sink.lines();
