@@ -1,5 +1,5 @@
-//! `bench_flow` — end-to-end PACOR flow benchmark over both rip-up
-//! policies, writing `BENCH_flow.json`.
+//! `bench_flow` — end-to-end PACOR flow benchmark, writing
+//! `BENCH_flow.json`.
 //!
 //! ```text
 //! bench_flow [--out FILE] [--repeat N] [--smoke] [--huge] [--chip NAME] [--events] [--ledger FILE]
@@ -7,8 +7,8 @@
 //!
 //! Runs the full flow (clustering → LM routing → MST routing → escape →
 //! detour) over the dense synthesized chips of
-//! [`pacor_bench::FLOW_BENCH_CHIPS`], once per rip-up policy (flat,
-//! 1 thread), and records wall-clock (end-to-end and inside the
+//! [`pacor_bench::FLOW_BENCH_CHIPS`], once each (flat, 1 thread), and
+//! records wall-clock (end-to-end and inside the
 //! `negotiate` spans; best of `--repeat` runs, default 3), a per-stage
 //! `stage_ms` breakdown (span-summed clustering / lm_routing /
 //! mst_routing / escape / detour wall-clock, so speedups attribute to
@@ -21,11 +21,11 @@
 //!
 //! **Large chips** (width ≥ 256, i.e. the B4-dense256 tier and the
 //! opt-in `--huge` B5-dense512) run a reduced schedule — repeats capped
-//! at 2 and a three-entry routing comparison instead of the two policy
-//! entries: flat serial, hierarchical serial, and hierarchical with
+//! at 2 and a three-entry routing comparison instead of the single
+//! flat entry: flat serial, hierarchical serial, and hierarchical with
 //! 4 region-parallel threads (see DESIGN.md §15). Every multi-thread
 //! entry gets a `scaling_efficiency` (serial wall / its wall) relative
-//! to the 1-thread entry with the same chip, policy and routing mode;
+//! to the 1-thread entry with the same chip and routing mode;
 //! entries that scale *backwards* on a host with more than one CPU are
 //! warned about on stderr.
 //!
@@ -47,7 +47,6 @@
 //! JSONL, so bench runs accumulate history that `tables compare` can
 //! diff (see docs/OBSERVABILITY.md §"Run digests").
 
-use pacor::route::RipUpPolicy;
 use pacor::{DesignParams, RoutingMode};
 use pacor_bench::{
     collect_telemetry, fill_scaling_efficiency, run_flow_bench_with_digest, FlowBenchEntry,
@@ -119,57 +118,42 @@ fn main() {
                 (RoutingMode::Hierarchical, 4),
             ];
             for (routing, threads) in configs {
-                let (entry, digest) = run_flow_bench_with_digest(
-                    chip,
-                    RipUpPolicy::Incremental,
-                    routing,
-                    threads,
-                    BENCH_SEED,
-                    repeat.min(2),
-                );
+                let (entry, digest) =
+                    run_flow_bench_with_digest(chip, routing, threads, BENCH_SEED, repeat.min(2));
                 print_entry(&entry, String::new());
                 chip_entries.push(entry);
                 digests.push(digest);
             }
         } else {
-            for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-                // Counter totals come from the flow's own per-run obs
-                // session (carried in the report), so entries cannot
-                // bleed.
-                let (entry, digest) = run_flow_bench_with_digest(
-                    chip,
-                    policy,
-                    RoutingMode::Flat,
-                    1,
-                    BENCH_SEED,
-                    repeat,
+            // Counter totals come from the flow's own per-run obs
+            // session (carried in the report), so entries cannot bleed.
+            let (entry, digest) =
+                run_flow_bench_with_digest(chip, RoutingMode::Flat, 1, BENCH_SEED, repeat);
+            // Opt-in telemetry sanity: one extra untimed run with the
+            // deterministic stream installed; its round events must
+            // agree with the counters the timed runs report.
+            let events_col = if events {
+                let lines = collect_telemetry(chip, 1, BENCH_SEED);
+                let round_events = lines
+                    .iter()
+                    .filter(|l| l.contains("\"kind\":\"round_progress\""))
+                    .count() as u64;
+                assert_eq!(
+                    round_events, entry.rounds,
+                    "{}: round_progress events diverge from negotiate.rounds",
+                    entry.chip
                 );
-                // Opt-in telemetry sanity: one extra untimed run with the
-                // deterministic stream installed; its round events must
-                // agree with the counters the timed runs report.
-                let events_col = if events {
-                    let lines = collect_telemetry(chip, policy, 1, BENCH_SEED);
-                    let round_events = lines
-                        .iter()
-                        .filter(|l| l.contains("\"kind\":\"round_progress\""))
-                        .count() as u64;
-                    assert_eq!(
-                        round_events, entry.rounds,
-                        "{} {}: round_progress events diverge from negotiate.rounds",
-                        entry.chip, entry.policy
-                    );
-                    format!("  events {:>5}", lines.len())
-                } else {
-                    String::new()
-                };
-                print_entry(&entry, events_col);
-                chip_entries.push(entry);
-                digests.push(digest);
-            }
+                format!("  events {:>5}", lines.len())
+            } else {
+                String::new()
+            };
+            print_entry(&entry, events_col);
+            chip_entries.push(entry);
+            digests.push(digest);
         }
-        for (chip, policy, routing, threads, eff) in fill_scaling_efficiency(&mut chip_entries) {
+        for (chip, routing, threads, eff) in fill_scaling_efficiency(&mut chip_entries) {
             eprintln!(
-                "bench_flow: WARNING: {chip} {policy} {routing} t={threads} ran {:.2}x the serial \
+                "bench_flow: WARNING: {chip} {routing} t={threads} ran {:.2}x the serial \
                  wall-clock — parallel slower than serial on a {}-CPU host",
                 1.0 / eff,
                 pacor_bench::host_cpus(),
@@ -204,9 +188,8 @@ fn print_entry(entry: &FlowBenchEntry, events_col: String) {
     let s = &entry.stage_ms;
     let e = &entry.escape_ms;
     eprintln!(
-        "{:<12} {:<12} {:<13} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[bld {:>5.1} slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
+        "{:<12} {:<13} t={} {:>9.1} ms  neg {:>8.1} ms  stages clu {:>6.1} lm {:>7.1} mst {:>6.1} esc {:>6.1} det {:>6.1}  esc[bld {:>5.1} slv {:>6.1} p1 {:>6.1} p2 {:>5.1} p3 {:>5.1}]  rounds {:>4}  ripups {:>5}  complete {:>5.1}%{}",
         entry.chip,
-        entry.policy,
         entry.routing,
         entry.threads,
         entry.wall_ms,

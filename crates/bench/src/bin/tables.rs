@@ -37,7 +37,6 @@
 //! completion / 4-thread-presence / scaling gates for chips at or
 //! above the large tier. Exits 1 on any failure.
 
-use pacor::route::RipUpPolicy;
 use pacor::{BenchDesign, FlowConfig, FlowVariant, RouteReport, RoutingMode};
 use pacor_bench::{
     fill_scaling_efficiency, metrics_header, metrics_row, run_config, run_flow_bench, run_variant,
@@ -164,13 +163,8 @@ const REGRESS_ESCAPE: [FieldOf<f64>; 5] = [
     ("escape.phase3", |e| e.escape_ms.phase3),
 ];
 
-fn entry_key(e: &FlowBenchEntry) -> (String, String, String, usize) {
-    (
-        e.chip.clone(),
-        e.policy.clone(),
-        e.routing.clone(),
-        e.threads,
-    )
+fn entry_key(e: &FlowBenchEntry) -> (String, String, usize) {
+    (e.chip.clone(), e.routing.clone(), e.threads)
 }
 
 /// Re-runs one chip's `bench_flow` schedule in-process at repeat 1 —
@@ -189,26 +183,10 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
             (RoutingMode::Hierarchical, 1),
             (RoutingMode::Hierarchical, 4),
         ] {
-            entries.push(run_flow_bench(
-                chip,
-                RipUpPolicy::Incremental,
-                routing,
-                threads,
-                BENCH_SEED,
-                1,
-            ));
+            entries.push(run_flow_bench(chip, routing, threads, BENCH_SEED, 1));
         }
     } else {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            entries.push(run_flow_bench(
-                chip,
-                policy,
-                RoutingMode::Flat,
-                1,
-                BENCH_SEED,
-                1,
-            ));
-        }
+        entries.push(run_flow_bench(chip, RoutingMode::Flat, 1, BENCH_SEED, 1));
     }
     fill_scaling_efficiency(&mut entries);
     entries
@@ -219,7 +197,7 @@ fn bench_chip_entries(chip_name: &str) -> Vec<FlowBenchEntry> {
 /// in the Makefile's `bench-check` recipe. Same rules, same pass/fail:
 ///
 /// * every fresh entry must match its baseline entry (keyed by chip ×
-///   policy × routing × threads) on the deterministic fields,
+///   routing × threads) on the deterministic fields,
 ///   including exact `completion_rate` equality, with matching entry
 ///   counts;
 /// * chips below [`LARGE_WIDTH`] get the per-stage and escape

@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pacor::route::RipUpPolicy;
 use pacor::{
     synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowVariant, PacorFlow, RouteReport,
     RoutingMode,
@@ -22,8 +21,8 @@ use serde::{Deserialize, Serialize};
 pub const BENCH_SEED: u64 = 42;
 
 /// Chips at or above this width get the reduced large-chip benchmark
-/// schedule (routing-mode comparison at capped repeats instead of one
-/// entry per rip-up policy), and the large-tier rules in
+/// schedule (routing-mode comparison at capped repeats instead of a
+/// single flat entry), and the large-tier rules in
 /// `tables regress` (completion + scaling gates instead of per-stage
 /// wall-clock budgets).
 pub const LARGE_WIDTH: u32 = 256;
@@ -107,7 +106,7 @@ pub fn metrics_header() -> String {
 // synthesize and route them by name; re-exported here for the harness.
 pub use pacor::{FLOW_BENCH_CHIPS, FLOW_HUGE_CHIP, FLOW_SMOKE_CHIP};
 
-/// One (chip × rip-up policy × routing mode × threads) measurement of
+/// One (chip × routing mode × threads) measurement of
 /// the end-to-end flow.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlowBenchEntry {
@@ -119,8 +118,6 @@ pub struct FlowBenchEntry {
     pub height: u32,
     /// Valve count.
     pub valves: u32,
-    /// Rip-up policy label (`full` / `incremental`).
-    pub policy: String,
     /// Routing mode label (`flat` / `hierarchical`).
     pub routing: String,
     /// Worker threads configured for the run.
@@ -133,7 +130,7 @@ pub struct FlowBenchEntry {
     pub wall_ms: f64,
     /// Serial-baseline wall-clock divided by this entry's: the speedup
     /// earned by this entry's extra threads over the 1-thread entry with
-    /// the same chip, policy and routing mode (1.0 for that baseline
+    /// the same chip and routing mode (1.0 for that baseline
     /// itself, and for entries with no baseline in the same run).
     pub scaling_efficiency: f64,
     /// Wall-clock spent inside `negotiate` spans on the best-negotiate
@@ -254,7 +251,7 @@ pub struct FlowBenchReport {
     pub seed: u64,
     /// Repeats per entry (wall-clock is the minimum across them).
     pub repeat: u32,
-    /// Measurements, in chip-then-policy order.
+    /// Measurements, in chip order.
     pub entries: Vec<FlowBenchEntry>,
 }
 
@@ -266,24 +263,24 @@ pub fn host_cpus() -> usize {
 }
 
 /// Fills in `scaling_efficiency` across one run's entries: each
-/// multi-thread entry is related to the 1-thread entry sharing its chip,
-/// policy and routing mode. Returns the (chip, policy, routing, threads,
-/// efficiency) tuples of every entry that scaled *backwards* — parallel
+/// multi-thread entry is related to the 1-thread entry sharing its chip
+/// and routing mode. Returns the (chip, routing, threads, efficiency)
+/// tuples of every entry that scaled *backwards* — parallel
 /// slower than serial — on a host that could have parallelized, so the
 /// caller can warn about them.
 pub fn fill_scaling_efficiency(
     entries: &mut [FlowBenchEntry],
-) -> Vec<(String, String, String, usize, f64)> {
-    let serial_walls: Vec<(String, String, String, f64)> = entries
+) -> Vec<(String, String, usize, f64)> {
+    let serial_walls: Vec<(String, String, f64)> = entries
         .iter()
         .filter(|e| e.threads == 1)
-        .map(|e| (e.chip.clone(), e.policy.clone(), e.routing.clone(), e.wall_ms))
+        .map(|e| (e.chip.clone(), e.routing.clone(), e.wall_ms))
         .collect();
     let mut regressions = Vec::new();
     for e in entries.iter_mut().filter(|e| e.threads > 1) {
-        let Some((_, _, _, serial)) = serial_walls
+        let Some((_, _, serial)) = serial_walls
             .iter()
-            .find(|(c, p, r, _)| *c == e.chip && *p == e.policy && *r == e.routing)
+            .find(|(c, r, _)| *c == e.chip && *r == e.routing)
         else {
             continue;
         };
@@ -291,7 +288,6 @@ pub fn fill_scaling_efficiency(
         if e.scaling_efficiency < 1.0 && e.host_cpus > 1 {
             regressions.push((
                 e.chip.clone(),
-                e.policy.clone(),
                 e.routing.clone(),
                 e.threads,
                 e.scaling_efficiency,
@@ -315,8 +311,8 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
         / 1e3
 }
 
-/// Runs the full flow on one synthesized chip under one rip-up policy
-/// and routing mode, `repeat` times, and reports the best
+/// Runs the full flow on one synthesized chip under one routing mode,
+/// `repeat` times, and reports the best
 /// wall-clock (end-to-end, and inside the `negotiate` spans) alongside
 /// the (repeat-invariant) counter totals. One untimed warm-up run
 /// precedes the timed repeats so first-touch costs (page faults,
@@ -329,13 +325,12 @@ fn span_ms_of(report: &pacor::obs::ObsReport, span: &str) -> f64 {
 /// repeats — both harness bugs, not experiment outcomes.
 pub fn run_flow_bench(
     params: DesignParams,
-    policy: RipUpPolicy,
     routing: RoutingMode,
     threads: usize,
     seed: u64,
     repeat: u32,
 ) -> FlowBenchEntry {
-    run_flow_bench_with_digest(params, policy, routing, threads, seed, repeat).0
+    run_flow_bench_with_digest(params, routing, threads, seed, repeat).0
 }
 
 /// [`run_flow_bench`], additionally returning the `pacor-rundigest-v1`
@@ -349,7 +344,6 @@ pub fn run_flow_bench(
 /// Same as [`run_flow_bench`].
 pub fn run_flow_bench_with_digest(
     params: DesignParams,
-    policy: RipUpPolicy,
     routing: RoutingMode,
     threads: usize,
     seed: u64,
@@ -357,7 +351,6 @@ pub fn run_flow_bench_with_digest(
 ) -> (FlowBenchEntry, pacor::obs::RunDigest) {
     let problem = synthesize_params(params, seed);
     let config = FlowConfig::default()
-        .with_ripup_policy(policy)
         .with_routing_mode(routing)
         .with_threads(threads);
     PacorFlow::new(config)
@@ -386,7 +379,6 @@ pub fn run_flow_bench_with_digest(
                     width: params.width,
                     height: params.height,
                     valves: params.valves,
-                    policy: policy.label().to_string(),
                     routing: routing.label().to_string(),
                     threads,
                     host_cpus: host_cpus(),
@@ -416,7 +408,7 @@ pub fn run_flow_bench_with_digest(
 
 /// Runs the flow once with a deterministic in-memory telemetry stream
 /// installed and returns the raw JSONL lines. This is the event stream
-/// the invariance tests byte-compare across thread counts and policies,
+/// the invariance tests byte-compare across thread counts,
 /// and the one `bench_flow --events` sanity-checks against the entry's
 /// counters.
 ///
@@ -424,16 +416,9 @@ pub fn run_flow_bench_with_digest(
 ///
 /// Panics when the flow errors out — a harness bug, not an experiment
 /// outcome.
-pub fn collect_telemetry(
-    params: DesignParams,
-    policy: RipUpPolicy,
-    threads: usize,
-    seed: u64,
-) -> Vec<String> {
+pub fn collect_telemetry(params: DesignParams, threads: usize, seed: u64) -> Vec<String> {
     let problem = synthesize_params(params, seed);
-    let config = FlowConfig::default()
-        .with_ripup_policy(policy)
-        .with_threads(threads);
+    let config = FlowConfig::default().with_threads(threads);
     let sink = pacor::obs::MemorySink::new();
     let lines = sink.lines();
     pacor::obs::telemetry_install(

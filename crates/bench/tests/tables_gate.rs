@@ -179,8 +179,8 @@ fn regress_enforces_the_stage_budget_rule() {
     // 25% over but under the 25 ms absolute floor: within budget.
     fixture.entries[0].stage_ms.escape += fixture.entries[0].stage_ms.escape * 0.3 + 1.0;
     // Past both gates: over budget.
-    fixture.entries[1].stage_ms.lm_routing =
-        fixture.entries[1].stage_ms.lm_routing * 1.3 + 30.0;
+    fixture.entries[0].stage_ms.lm_routing =
+        fixture.entries[0].stage_ms.lm_routing * 1.3 + 30.0;
     let path = dir.join("regress_budget.json");
     std::fs::write(&path, serde_json::to_string_pretty(&fixture).unwrap()).unwrap();
     let out = tables(&[

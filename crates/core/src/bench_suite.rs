@@ -185,11 +185,11 @@ pub fn synthesize_params(p: DesignParams, seed: u64) -> Problem {
 /// Table 1's designs are too sparse to exercise negotiation (every one
 /// converges in a single round), so these are denser synthesized chips —
 /// more multi-valve clusters packed per unit area plus a heavier obstacle
-/// field — where the first routing pass genuinely collides and the rip-up
-/// policies diverge. The larger two are deliberately oversubscribed: the
-/// escape stage cannot connect every valve (completion < 100%, identical
-/// across policies), which keeps the negotiation loop under pressure for
-/// the whole run instead of only its first seconds.
+/// field — where the first routing pass genuinely collides and
+/// negotiation rips paths up. The larger two are deliberately
+/// oversubscribed: the escape stage cannot connect every valve
+/// (completion < 100%), which keeps the negotiation loop under pressure
+/// for the whole run instead of only its first seconds.
 pub const FLOW_BENCH_CHIPS: [DesignParams; 4] = [
     DesignParams {
         name: "B1-dense24",

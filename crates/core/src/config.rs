@@ -1,6 +1,5 @@
 //! Flow configuration and self-comparison variants.
 
-use pacor_route::RipUpPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Which version of the flow to run — the paper's Table 2 compares three.
@@ -31,38 +30,6 @@ impl FlowVariant {
             FlowVariant::Pacor => "PACOR",
             FlowVariant::WithoutSelection => "w/o Sel",
             FlowVariant::DetourFirst => "Detour First",
-        }
-    }
-}
-
-/// Which escape-stage solver drives `escape_all`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EscapeSolver {
-    /// Persistent network with delta edits, warm-started min-cost flow,
-    /// and windowed recovery solves (the default).
-    #[default]
-    Incremental,
-    /// Full per-round network rebuild and cold solve — the pre-rewrite
-    /// behaviour, kept for ablation and the `escape-smoke` equivalence
-    /// check.
-    Reference,
-}
-
-impl EscapeSolver {
-    /// Parses a CLI-style name (`incremental` / `reference`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "incremental" => Some(EscapeSolver::Incremental),
-            "reference" => Some(EscapeSolver::Reference),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name (matches [`EscapeSolver::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            EscapeSolver::Incremental => "incremental",
-            EscapeSolver::Reference => "reference",
         }
     }
 }
@@ -133,13 +100,6 @@ pub struct FlowConfig {
     /// cluster order, so any value yields bit-identical routing; 1
     /// disables the fan-out entirely.
     pub thread_count: usize,
-    /// What negotiation rips up between failed rounds. `Incremental`
-    /// (the default) keeps converged paths; `Full` is the paper's
-    /// Algorithm 1 verbatim, kept for ablation.
-    pub ripup_policy: RipUpPolicy,
-    /// Escape-stage solver: incremental persistent network (default) or
-    /// the full-rebuild reference path.
-    pub escape_solver: EscapeSolver,
     /// Flight-recorder event-ring capacity (oldest events dropped on
     /// overflow). Only read when a recorder is installed.
     pub recorder_capacity: usize,
@@ -179,8 +139,6 @@ impl Default for FlowConfig {
             exact_selection_limit: 128,
             detour_node_budget: 200_000,
             thread_count: 1,
-            ripup_policy: RipUpPolicy::default(),
-            escape_solver: EscapeSolver::default(),
             recorder_capacity: pacor_obs::RecorderConfig::default().capacity,
             recorder_cadence: pacor_obs::RecorderConfig::default().snapshot_cadence,
             routing_mode: RoutingMode::Flat,
@@ -204,18 +162,6 @@ impl FlowConfig {
     /// (0 is treated as 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.thread_count = threads.max(1);
-        self
-    }
-
-    /// Sets the negotiation rip-up policy.
-    pub fn with_ripup_policy(mut self, ripup_policy: RipUpPolicy) -> Self {
-        self.ripup_policy = ripup_policy;
-        self
-    }
-
-    /// Sets the escape-stage solver.
-    pub fn with_escape_solver(mut self, escape_solver: EscapeSolver) -> Self {
-        self.escape_solver = escape_solver;
         self
     }
 
@@ -281,8 +227,6 @@ mod tests {
         assert_eq!(c.history_alpha, 0.1);
         assert_eq!(c.theta, 10);
         assert_eq!(c.thread_count, 1, "parallelism is opt-in");
-        assert_eq!(c.ripup_policy, RipUpPolicy::Incremental);
-        assert_eq!(c.escape_solver, EscapeSolver::Incremental);
         assert_eq!(c.recorder_config(), pacor_obs::RecorderConfig::default());
         assert_eq!(c.routing_mode, RoutingMode::Flat, "hierarchy is opt-in");
         assert_eq!(c.gcell_size, 64);
@@ -322,25 +266,6 @@ mod tests {
                 .recorder_cadence,
             1,
             "cadence 0 would divide by zero; clamp to every round"
-        );
-    }
-
-    #[test]
-    fn escape_solver_parse() {
-        assert_eq!(
-            EscapeSolver::parse("incremental"),
-            Some(EscapeSolver::Incremental)
-        );
-        assert_eq!(
-            EscapeSolver::parse("reference"),
-            Some(EscapeSolver::Reference)
-        );
-        assert_eq!(EscapeSolver::parse("Reference"), None);
-        assert_eq!(
-            FlowConfig::default()
-                .with_escape_solver(EscapeSolver::Reference)
-                .escape_solver,
-            EscapeSolver::Reference
         );
     }
 

@@ -22,8 +22,8 @@ pub fn problem_hash(problem: &Problem) -> u64 {
 
 /// The deterministic `FlowConfig` fields as ordered (name, value)
 /// pairs — exactly the knobs that change the routed result. The
-/// equivalence axes (threads, rip-up policy, escape solver, routing
-/// mode and its tiling knobs, recorder knobs) are
+/// equivalence axes (threads, routing mode and its tiling knobs,
+/// recorder knobs) are
 /// excluded by design: they are recorded in the digest's `wall`
 /// sub-object instead, so runs across those axes share a fingerprint
 /// and diff cleanly against each other.
@@ -114,8 +114,6 @@ pub fn run_digest(
         histograms,
         wall: WallFacts {
             threads: config.thread_count.max(1) as u64,
-            policy: config.ripup_policy.label().to_string(),
-            escape_solver: config.escape_solver.label().to_string(),
             routing: config.routing_mode.label().to_string(),
             // Quantized to the rendered precision (3 decimals) so a
             // digest re-parsed from disk compares equal to the
@@ -131,7 +129,7 @@ pub fn run_digest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BenchDesign, EscapeSolver, PacorFlow};
+    use crate::{BenchDesign, PacorFlow};
 
     #[test]
     fn digest_reflects_problem_config_and_outcome() {
@@ -203,8 +201,6 @@ mod tests {
         let base = FlowConfig::default();
         let same = [
             base.with_threads(8),
-            base.with_ripup_policy(pacor_route::RipUpPolicy::Full),
-            base.with_escape_solver(EscapeSolver::Reference),
             base.with_routing_mode(crate::RoutingMode::Hierarchical)
                 .with_gcell_size(8),
         ];

@@ -21,7 +21,7 @@
 
 use crate::lm_routing::reroute_lm_cluster;
 use crate::mst_routing::route_mst_cluster;
-use crate::{EscapeSolver, FlowConfig, RoutedCluster, RoutedKind};
+use crate::{FlowConfig, RoutedCluster, RoutedKind};
 use pacor_flow::{EscapeNetwork, PersistentEscape};
 use pacor_grid::{ObsMap, Point};
 use pacor_valves::{Cluster, ClusterId};
@@ -50,17 +50,27 @@ pub fn escape_all(
     config: &FlowConfig,
     next_id: &mut u32,
 ) -> EscapeStats {
-    let incremental = config.escape_solver == EscapeSolver::Incremental;
-    if incremental {
-        // The persistent networks below mirror obstacle edits from this
-        // journal instead of re-scanning the grid each round.
-        obs.enable_delta_log();
-    }
-    let stats = escape_phases(obs, routed, pins, config, next_id, incremental);
-    if incremental {
-        obs.disable_delta_log();
-    }
+    // The persistent networks below mirror obstacle edits from this
+    // journal instead of re-scanning the grid each round.
+    obs.enable_delta_log();
+    let stats = escape_phases(obs, routed, pins, config, next_id, true);
+    obs.disable_delta_log();
     stats
+}
+
+/// [`escape_all`] with the full-rebuild reference solver: every round
+/// rebuilds the flow network from the grid and solves it cold. It must
+/// route byte-identically to the incremental solver; it is the oracle
+/// the equivalence tests compare against, reached only through
+/// [`crate::PacorFlow::with_reference_escape`].
+pub(crate) fn escape_all_reference(
+    obs: &mut ObsMap,
+    routed: &mut Vec<RoutedCluster>,
+    pins: &[Point],
+    config: &FlowConfig,
+    next_id: &mut u32,
+) -> EscapeStats {
+    escape_phases(obs, routed, pins, config, next_id, false)
 }
 
 fn escape_phases(

@@ -1,6 +1,6 @@
 //! The PACOR flow orchestrator (Fig. 2 of the paper).
 
-use crate::escape_stage::{escape_all, EscapeStats};
+use crate::escape_stage::{escape_all, escape_all_reference, EscapeStats};
 use crate::lm_routing::route_lm_clusters;
 use crate::mst_routing::route_ordinary_clusters;
 use crate::{
@@ -27,12 +27,26 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PacorFlow {
     config: FlowConfig,
+    reference_escape: bool,
 }
 
 impl PacorFlow {
     /// Creates a flow with the given configuration.
     pub fn new(config: FlowConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            reference_escape: false,
+        }
+    }
+
+    /// Test oracle: runs the flat escape stage with the full-rebuild
+    /// reference solver instead of the incremental one (hierarchical
+    /// routing ignores it). The two must route byte-identically;
+    /// equivalence tests compare them.
+    #[doc(hidden)]
+    pub fn with_reference_escape(mut self) -> Self {
+        self.reference_escape = true;
+        self
     }
 
     /// The active configuration.
@@ -79,7 +93,6 @@ impl PacorFlow {
             pins: problem.pins.len() as u64,
             lm_clusters: problem.lm_clusters.len() as u64,
             variant: self.config.variant.label().to_string(),
-            policy: self.config.ripup_policy.label().to_string(),
             threads: crate::effective_threads(self.config.thread_count) as u64,
         });
 
@@ -130,11 +143,17 @@ impl PacorFlow {
             RoutingMode::Flat => run_stage_pipeline(
                 &mut obs,
                 paired,
-                &problem.pins,
                 problem.delta,
                 &self.config,
                 &mut next_cluster_id,
                 &mut timings,
+                |obs, routed, next_id| {
+                    if self.reference_escape {
+                        escape_all_reference(obs, routed, &problem.pins, &self.config, next_id)
+                    } else {
+                        escape_all(obs, routed, &problem.pins, &self.config, next_id)
+                    }
+                },
             ),
             RoutingMode::Hierarchical => crate::hier::run_hierarchical(
                 &mut obs,
@@ -265,7 +284,8 @@ impl PacorFlow {
 /// Stages 2–6 of the flow: LM routing, MST routing, the Detour-First
 /// variant's early detour, escape routing with rip-up/de-clustering,
 /// and final detouring — over `obs`, consuming `clusters` paired with
-/// their precomputed member positions.
+/// their precomputed member positions. `escape` runs stages 4–5 against
+/// the caller's pin set (the flat flow picks the escape solver there).
 ///
 /// This is the one detailed pipeline both routing modes execute: flat
 /// mode calls it once over the whole chip, hierarchical mode once per
@@ -274,11 +294,11 @@ impl PacorFlow {
 pub(crate) fn run_stage_pipeline(
     obs: &mut ObsMap,
     clusters: Vec<(Cluster, Vec<Point>)>,
-    pins: &[Point],
     delta: GridLen,
     config: &FlowConfig,
     next_cluster_id: &mut u32,
     timings: &mut crate::FlowMetrics,
+    escape: impl FnOnce(&mut ObsMap, &mut Vec<RoutedCluster>, &mut u32) -> EscapeStats,
 ) -> (Vec<RoutedCluster>, EscapeStats) {
     let (lm_input, mut ordinary_input): (Vec<_>, Vec<_>) = clusters
         .into_iter()
@@ -342,7 +362,7 @@ pub(crate) fn run_stage_pipeline(
     pacor_obs::telemetry_stage_enter("escape");
     let stage = Instant::now();
     let span = pacor_obs::span("stage.escape");
-    let escape_stats = escape_all(obs, &mut routed, pins, config, next_cluster_id);
+    let escape_stats = escape(obs, &mut routed, next_cluster_id);
     drop(span);
     pacor_obs::counter_sample("astar.expansions");
     timings.escape = stage.elapsed();

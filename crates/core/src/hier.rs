@@ -166,11 +166,11 @@ fn route_regions(
             let (routed, stats) = run_stage_pipeline(
                 &mut robs,
                 region.clusters.clone(),
-                &region.pins,
                 delta,
                 config,
                 &mut next,
                 &mut m,
+                |obs, routed, next_id| escape_all(obs, routed, &region.pins, config, next_id),
             );
             assert!(
                 next - region.id_base <= region.id_block,
@@ -221,11 +221,11 @@ pub(crate) fn run_hierarchical(
         return run_stage_pipeline(
             obs,
             clusters,
-            &problem.pins,
             problem.delta,
             config,
             next_cluster_id,
             timings,
+            |obs, routed, next_id| escape_all(obs, routed, &problem.pins, config, next_id),
         );
     }
 
@@ -403,11 +403,11 @@ pub(crate) fn run_hierarchical(
             let (group_routed, group_stats) = run_stage_pipeline(
                 &mut robs,
                 group,
-                &pins,
                 delta,
                 &region_config,
                 next_cluster_id,
                 &mut m,
+                |obs, routed, next_id| escape_all(obs, routed, &pins, &region_config, next_id),
             );
             for rc in &group_routed {
                 commit_geometry(obs, rc);

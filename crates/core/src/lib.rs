@@ -67,7 +67,7 @@ pub mod stages {
     pub use crate::mst_routing::{route_mst_cluster, route_ordinary_clusters};
 }
 
-pub use config::{EscapeSolver, FlowConfig, FlowVariant, RoutingMode};
+pub use config::{FlowConfig, FlowVariant, RoutingMode};
 pub use detour::detour_cluster;
 pub use digest::{config_fingerprint, problem_hash, run_digest};
 pub use error::FlowError;

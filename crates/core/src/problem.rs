@@ -4,6 +4,7 @@ use crate::FlowError;
 use pacor_grid::{Grid, GridLen, Point};
 use pacor_valves::{Valve, ValveId, ValveSet};
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 
 /// A complete problem instance, matching the paper's "Given":
 /// all valves with coordinates, valve compatibility (via activation
@@ -61,9 +62,10 @@ impl Problem {
         Ok(grid)
     }
 
-    /// Validates the instance: valves on free in-bounds cells, pins on
-    /// the boundary, length-matching clusters referencing known, pairwise
-    /// compatible valves.
+    /// Validates the instance: valves on distinct free in-bounds cells,
+    /// distinct pins on the boundary, length-matching clusters
+    /// referencing known, pairwise compatible valves, each valve in at
+    /// most one cluster and at most once.
     ///
     /// # Errors
     ///
@@ -71,6 +73,7 @@ impl Problem {
     /// violation found.
     pub fn validate(&self) -> Result<(), FlowError> {
         let grid = self.grid()?;
+        let mut valve_at: HashMap<Point, ValveId> = HashMap::new();
         for v in self.valves.iter() {
             let p = v.position();
             if !grid.in_bounds(p) {
@@ -89,14 +92,27 @@ impl Problem {
                     p
                 )));
             }
+            if let Some(other) = valve_at.insert(p, v.id()) {
+                return Err(FlowError::InvalidProblem(format!(
+                    "valves {other} and {} share the cell {p}",
+                    v.id()
+                )));
+            }
         }
+        let mut pin_seen: HashSet<Point> = HashSet::new();
         for &p in &self.pins {
             if !grid.is_boundary(p) {
                 return Err(FlowError::InvalidProblem(format!(
                     "control pin at {p} is not on the chip boundary"
                 )));
             }
+            if !pin_seen.insert(p) {
+                return Err(FlowError::InvalidProblem(format!(
+                    "control pin at {p} is listed twice"
+                )));
+            }
         }
+        let mut cluster_of: HashMap<ValveId, usize> = HashMap::new();
         for (k, cluster) in self.lm_clusters.iter().enumerate() {
             if cluster.len() < 2 {
                 return Err(FlowError::InvalidProblem(format!(
@@ -108,6 +124,19 @@ impl Problem {
                     return Err(FlowError::InvalidProblem(format!(
                         "length-matching cluster {k} references unknown valve {id}"
                     )));
+                }
+                match cluster_of.insert(id, k) {
+                    Some(j) if j == k => {
+                        return Err(FlowError::InvalidProblem(format!(
+                            "length-matching cluster {k} lists valve {id} twice"
+                        )));
+                    }
+                    Some(j) => {
+                        return Err(FlowError::InvalidProblem(format!(
+                            "valve {id} is in length-matching clusters {j} and {k}"
+                        )));
+                    }
+                    None => {}
                 }
             }
             for i in 0..cluster.len() {
@@ -280,6 +309,54 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("unknown valve"));
+    }
+
+    #[test]
+    fn rejects_two_valves_on_one_cell() {
+        let err = Problem::builder("t", 10, 10)
+            .valve(valve(0, 3, 3, "01"))
+            .valve(valve(1, 3, 3, "0X"))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, FlowError::InvalidProblem(_)), "{err}");
+        assert!(err.to_string().contains("share the cell"), "{err}");
+    }
+
+    #[test]
+    fn rejects_duplicate_pin() {
+        let err = Problem::builder("t", 10, 10)
+            .pin(Point::new(0, 5))
+            .pin(Point::new(0, 5))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, FlowError::InvalidProblem(_)), "{err}");
+        assert!(err.to_string().contains("listed twice"), "{err}");
+    }
+
+    #[test]
+    fn rejects_valve_listed_twice_in_one_lm_cluster() {
+        let err = Problem::builder("t", 10, 10)
+            .valve(valve(0, 1, 1, "01"))
+            .valve(valve(1, 2, 2, "0X"))
+            .lm_cluster(vec![ValveId(0), ValveId(1), ValveId(0)])
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, FlowError::InvalidProblem(_)), "{err}");
+        assert!(err.to_string().contains("twice"), "{err}");
+    }
+
+    #[test]
+    fn rejects_valve_in_two_lm_clusters() {
+        let err = Problem::builder("t", 10, 10)
+            .valve(valve(0, 1, 1, "01"))
+            .valve(valve(1, 2, 2, "0X"))
+            .valve(valve(2, 3, 3, "01"))
+            .lm_cluster(vec![ValveId(0), ValveId(1)])
+            .lm_cluster(vec![ValveId(2), ValveId(1)])
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, FlowError::InvalidProblem(_)), "{err}");
+        assert!(err.to_string().contains("clusters 0 and 1"), "{err}");
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! per-cluster LM slack), the deterministic counter totals and
 //! histogram quantiles, and — isolated in the single `wall` sub-object
 //! — everything wall-clock- or mode-dependent: the run's thread count
-//! and policy/solver/routing labels, end-to-end wall-clock, the work
+//! and routing label, end-to-end wall-clock, the work
 //! counters whose totals legitimately differ between equivalent
 //! configurations (A\* and fan-out work, global-stage planning), and the
 //! full span tree with inclusive/exclusive time.
 //!
 //! Everything outside `wall` is byte-identical at any worker-thread
-//! count, and under either rip-up policy
-//! whenever the policies route the same result — the same guarantee the
-//! post-mortem report makes, extended to a comparable cross-run record.
+//! count — the same guarantee the post-mortem report makes, extended to
+//! a comparable cross-run record.
 //! [`RunDigest::deterministic_json`] renders exactly that invariant
 //! part, which is what ledger comparisons and `make ledger-smoke`
 //! byte-compare.
@@ -39,8 +38,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Whether a counter/histogram name is a **work metric**: a total that
-/// legitimately differs between routing modes, escape solvers or
-/// scheduling decisions even when the routed result is identical.
+/// legitimately differs between routing modes or scheduling decisions even when the routed result is identical.
 /// Work metrics live in the digest's `wall` sub-object; everything else
 /// is part of the deterministic, comparable record.
 pub fn is_work_metric(name: &str) -> bool {
@@ -53,7 +51,7 @@ pub fn is_work_metric(name: &str) -> bool {
 /// What run a digest belongs to: the chip and the deterministic
 /// configuration fields. Two runs with equal fingerprints are expected
 /// to produce byte-identical deterministic sections — the equivalence
-/// axes (threads, rip-up policy, escape solver, routing mode) are
+/// axes (threads, routing mode) are
 /// deliberately **excluded** and recorded in `wall` instead, so a
 /// re-run at a different thread count still finds its baseline in the
 /// ledger.
@@ -208,10 +206,6 @@ impl SpanNode {
 pub struct WallFacts {
     /// Worker threads configured.
     pub threads: u64,
-    /// Rip-up policy label.
-    pub policy: String,
-    /// Escape solver label.
-    pub escape_solver: String,
     /// Routing mode label.
     pub routing: String,
     /// End-to-end wall-clock, milliseconds.
@@ -466,13 +460,9 @@ impl RunDigest {
             let w = &self.wall;
             let _ = write!(
                 out,
-                "{ind}\"wall\": {{\"threads\": {}, \"policy\": ",
+                "{ind}\"wall\": {{\"threads\": {}, \"routing\": ",
                 w.threads
             );
-            crate::export::push_json_string(&mut out, &w.policy);
-            out.push_str(", \"escape_solver\": ");
-            crate::export::push_json_string(&mut out, &w.escape_solver);
-            out.push_str(", \"routing\": ");
             crate::export::push_json_string(&mut out, &w.routing);
             let _ = write!(out, ", \"wall_ms\": {:.3}, \"work_counters\": {{", w.wall_ms);
             for (i, (name, v)) in w.work_counters.iter().enumerate() {
@@ -599,8 +589,6 @@ impl RunDigest {
         };
         let wall = WallFacts {
             threads: w.get("threads").and_then(Json::as_u64).ok_or("wall.threads")?,
-            policy: ws("policy")?,
-            escape_solver: ws("escape_solver")?,
             routing: ws("routing")?,
             wall_ms: w.get("wall_ms").and_then(Json::as_f64).ok_or("wall.wall_ms")?,
             work_counters: parse_counter_map(
@@ -748,8 +736,6 @@ pub(crate) mod tests {
             )],
             wall: WallFacts {
                 threads: 4,
-                policy: "incremental".into(),
-                escape_solver: "incremental".into(),
                 routing: "flat".into(),
                 wall_ms: 12.345,
                 work_counters: vec![("astar.expansions".into(), 999)],
@@ -782,13 +768,15 @@ pub(crate) mod tests {
 
     #[test]
     fn parses_ledger_lines_that_still_carry_a_mode_label() {
-        // Digests written before the negotiation-mode option was removed
-        // carry `wall.mode`; ledgers holding them must keep loading.
+        // Digests written before the negotiation mode, rip-up policy and
+        // escape solver options were removed carry one extra `wall`
+        // label per option; ledgers holding them must keep loading.
         let d = sample_digest();
         let line = d.to_jsonl();
         let old = line.replacen(
             "\"threads\": 4, ",
-            "\"threads\": 4, \"mode\": \"serial\", ",
+            "\"threads\": 4, \"mode\": \"serial\", \"policy\": \"full\", \
+             \"escape_solver\": \"reference\", ",
             1,
         );
         assert_ne!(old, line, "the sample must render a wall.threads field");

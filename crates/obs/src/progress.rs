@@ -20,7 +20,7 @@
 //!
 //! Every emit site sits at a session-thread commit point (the same
 //! points the flight recorder uses), so the event *sequence* is
-//! byte-identical across thread counts and rip-up policies wherever the routed result is. Wall-clock fields
+//! byte-identical across thread counts. Wall-clock fields
 //! (`elapsed_us`, `eta_us`) are the one exception; a
 //! [`TelemetryConfig::deterministic`] configuration zeroes them (and
 //! disables the watchdog), making the raw JSONL stream itself
@@ -73,8 +73,6 @@ pub enum ProgressEvent {
         lm_clusters: u64,
         /// Flow variant label (`PACOR`, `w/o Sel`, `Detour First`).
         variant: String,
-        /// Rip-up policy label.
-        policy: String,
         /// Effective worker-thread count.
         threads: u64,
     },
@@ -227,7 +225,6 @@ impl ProgressEvent {
                 pins,
                 lm_clusters,
                 variant,
-                policy,
                 threads,
             } => {
                 s.push_str(",\"design\":");
@@ -237,8 +234,6 @@ impl ProgressEvent {
                     ",\"width\":{width},\"height\":{height},\"valves\":{valves},\"pins\":{pins},\"lm_clusters\":{lm_clusters},\"variant\":"
                 );
                 push_json_string(&mut s, variant);
-                s.push_str(",\"policy\":");
-                push_json_string(&mut s, policy);
                 let _ = write!(s, ",\"threads\":{threads}");
             }
             ProgressEvent::StageEntered { stage } => {
@@ -1234,7 +1229,6 @@ mod tests {
                 pins: 1,
                 lm_clusters: 0,
                 variant: "PACOR".into(),
-                policy: "full".into(),
                 threads: 1,
             },
             ProgressEvent::StageEntered { stage: "escape" },

@@ -65,12 +65,10 @@ impl Default for RecorderConfig {
 pub enum RipReason {
     /// The net owned cells on a failed search's contended frontier.
     ContendedWall,
-    /// Incremental escalation: more failures than the previous round.
+    /// Escalation to a full rip-up: more failures than the previous round.
     Escalated,
     /// A failed search produced no contended-cell information.
     Opaque,
-    /// The full rip-up policy rips every routed net on any failure.
-    FullPolicy,
 }
 
 impl RipReason {
@@ -80,7 +78,6 @@ impl RipReason {
             RipReason::ContendedWall => "contended_wall",
             RipReason::Escalated => "escalated",
             RipReason::Opaque => "opaque",
-            RipReason::FullPolicy => "full_policy",
         }
     }
 }

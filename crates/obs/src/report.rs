@@ -11,9 +11,7 @@
 //!
 //! Both outputs are pure functions of the log. Because emit sites live
 //! only at the flow's deterministic commit points, the bytes are
-//! invariant across worker-thread counts. Across rip-up policies the report is identical whenever
-//! the policies produce the same routed state (they provably coincide
-//! while every negotiation session converges without a failed round).
+//! invariant across worker-thread counts.
 
 use crate::recorder::{FlightEvent, FlightLog, SnapshotKind};
 use crate::Histogram;

@@ -41,7 +41,5 @@ mod parallel;
 pub use astar::{AStar, AStarScratch};
 pub use bounded::BoundedAStar;
 pub use history::HistoryCost;
-pub use negotiation::{
-    NegotiationOutcome, NegotiationRouter, NetOrdering, RipUpPolicy, RouteRequest,
-};
+pub use negotiation::{NegotiationOutcome, NegotiationRouter, NetOrdering, RouteRequest};
 pub use parallel::{effective_threads, parallel_map, parallel_map_with};

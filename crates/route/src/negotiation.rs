@@ -1,14 +1,13 @@
 //! Negotiation-based detailed routing — Algorithm 1 of the paper.
 //!
 //! Each round routes its pending nets one by one against the live
-//! obstacle state, in the configured [`NetOrdering`]; between rounds the
-//! [`RipUpPolicy`] decides which routed paths are torn up and retried
-//! under the bumped history cost.
+//! obstacle state, in the configured [`NetOrdering`]; between rounds
+//! only the failed nets and the routed paths that wall them in are torn
+//! up and retried under the bumped history cost.
 
 use crate::{AStar, AStarScratch, HistoryCost};
 use pacor_grid::{GridPath, ObsMap, Point};
 use pacor_obs::{FlightEvent, RipReason, SnapshotKind};
-use serde::{Deserialize, Serialize};
 
 /// "Untagged" sentinel for [`RouteRequest::net`].
 const NO_NET: u32 = u32::MAX;
@@ -151,46 +150,6 @@ impl NetOrdering {
     }
 }
 
-/// What to rip up between negotiation iterations.
-///
-/// Algorithm 1 of the paper rips up *every* routed path whenever some
-/// edge fails ([`RipUpPolicy::Full`]) — correct, but it throws away all
-/// converged work each round. [`RipUpPolicy::Incremental`] (the default)
-/// keeps converged paths in place and rips up only the failed edges plus
-/// the routed paths that actually wall them in: a failed A\* search
-/// floods the whole free region reachable from its sources, so the
-/// routed cells on that region's frontier are exactly the contended
-/// ones, and the per-cell owner index maps them back to their nets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RipUpPolicy {
-    /// Rip every routed path between iterations (the paper's Algorithm 1
-    /// verbatim; kept for ablation).
-    Full,
-    /// Rip only failed edges and the routed paths contending with them;
-    /// converged nets keep their paths and their obstacle blocks.
-    #[default]
-    Incremental,
-}
-
-impl RipUpPolicy {
-    /// Parses a command-line spelling (`full` / `incremental`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "full" => Some(RipUpPolicy::Full),
-            "incremental" => Some(RipUpPolicy::Incremental),
-            _ => None,
-        }
-    }
-
-    /// The command-line spelling accepted by [`RipUpPolicy::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            RipUpPolicy::Full => "full",
-            RipUpPolicy::Incremental => "incremental",
-        }
-    }
-}
-
 /// "No owner" sentinel in [`OwnerIndex::primary`].
 const NO_OWNER: u32 = u32::MAX;
 
@@ -280,7 +239,7 @@ enum Attempt {
     /// search reached (its contended cells) when the flat kernel
     /// recorded one; `None` when the search was opaque — out-of-bounds
     /// terminals (reference-kernel fallback) or an empty endpoint list —
-    /// which the incremental policy answers with a full rip-up.
+    /// which the router answers with a full rip-up.
     Failed(Option<Vec<Point>>),
 }
 
@@ -333,8 +292,8 @@ fn attempt_round(
 
 /// Negotiation-based router (Algorithm 1): sequentially route every edge,
 /// treating earlier paths as obstacles; when some edge fails, bump the
-/// history cost of contended cells (Eq. 5), rip paths up per the
-/// configured [`RipUpPolicy`], and retry — at most `γ` iterations.
+/// history cost of contended cells (Eq. 5), rip up the failed edges and
+/// the paths that wall them in, and retry — at most `γ` iterations.
 ///
 /// Unlike the original PathFinder, which negotiates *global-routing*
 /// congestion, this is detailed routing: a cell holds at most one channel,
@@ -350,8 +309,6 @@ pub struct NegotiationRouter {
     pub alpha: f64,
     /// Edge attempt order within an iteration.
     pub ordering: NetOrdering,
-    /// What to rip up between iterations.
-    pub ripup: RipUpPolicy,
 }
 
 impl Default for NegotiationRouter {
@@ -361,7 +318,6 @@ impl Default for NegotiationRouter {
             base: 1.0,
             alpha: 0.1,
             ordering: NetOrdering::AsGiven,
-            ripup: RipUpPolicy::default(),
         }
     }
 }
@@ -391,15 +347,17 @@ impl NegotiationRouter {
         self
     }
 
-    /// Overrides the rip-up policy.
-    pub fn with_ripup_policy(mut self, ripup: RipUpPolicy) -> Self {
-        self.ripup = ripup;
-        self
-    }
-
     /// Routes every request in `edges`; successful paths are left blocked
     /// in `obs` **only** when the whole set completes (so the caller can
     /// stack stages); on failure `obs` is restored.
+    ///
+    /// Converged paths stay put between rounds; only failed edges and the
+    /// routed paths that wall them in are ripped up and retried, and
+    /// history is bumped only along ripped paths. A failed A\* search
+    /// expands the entire free region reachable from its sources, so the
+    /// scratch's touched-cell set identifies the contended region for
+    /// free; routed cells adjacent to that region are the walls, and the
+    /// per-cell [`OwnerIndex`] maps them to the nets to evict.
     ///
     /// One [`AStarScratch`] is held across the whole negotiation loop, so
     /// every query reuses the same buffers instead of re-borrowing the
@@ -409,142 +367,6 @@ impl NegotiationRouter {
         let fs = pacor_obs::flight_begin_session(edges.len() as u32);
         let ts = pacor_obs::telemetry_begin_session();
         let mut scratch = AStarScratch::new();
-        match self.ripup {
-            RipUpPolicy::Full => self.route_full(obs, edges, &mut scratch, fs, ts),
-            RipUpPolicy::Incremental => self.route_incremental(obs, edges, &mut scratch, fs, ts),
-        }
-    }
-
-    /// Algorithm 1 verbatim: every failed round rips up every routed
-    /// path and bumps history along all of them.
-    fn route_full(
-        &self,
-        obs: &mut ObsMap,
-        edges: &[RouteRequest],
-        scratch: &mut AStarScratch,
-        fs: u32,
-        ts: u32,
-    ) -> NegotiationOutcome {
-        let mut history = HistoryCost::with_params(obs.width(), obs.height(), self.base, self.alpha);
-        let outer_cp = obs.checkpoint();
-        let mut iterations = 0u32;
-        let mut ripups = 0u64;
-
-        let order = self.ordering.order(edges);
-        loop {
-            iterations += 1;
-            pacor_obs::counter_add("negotiate.rounds", 1);
-            let _round = pacor_obs::span_with("negotiate.round", &[("round", iterations as u64)]);
-            let cp = obs.checkpoint();
-            let mut paths: Vec<Option<GridPath>> = vec![None; edges.len()];
-            let mut done = true;
-
-            let attempts = attempt_round(obs, &history, edges, &order, scratch);
-            for (attempt, &e) in attempts.into_iter().zip(&order) {
-                match attempt {
-                    Attempt::Routed(p, expanded) => {
-                        pacor_obs::flight(|| FlightEvent::NetAttempt {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            routed: true,
-                            length: p.len(),
-                            expanded,
-                            flood: 0,
-                        });
-                        paths[e] = Some(p);
-                    }
-                    Attempt::Failed(flood) => {
-                        pacor_obs::flight(|| FlightEvent::NetAttempt {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            routed: false,
-                            length: 0,
-                            expanded: flood.as_ref().map_or(0, |f| f.len() as u32),
-                            flood: flood.as_ref().map_or(0, |f| f.len() as u32),
-                        });
-                        done = false;
-                    }
-                }
-            }
-            if pacor_obs::flight_snapshot_due(iterations, done || iterations >= self.gamma) {
-                pacor_obs::flight_snapshot(congestion_snapshot(fs, iterations, obs, &history));
-            }
-            if pacor_obs::telemetry_active() {
-                let routed_now = paths.iter().flatten().count() as u64;
-                pacor_obs::telemetry_round(pacor_obs::RoundStats {
-                    session: ts,
-                    round: iterations,
-                    rounds_left: if done { 0 } else { self.gamma.saturating_sub(iterations) },
-                    attempted: order.len() as u64,
-                    routed: routed_now,
-                    failed: order.len() as u64 - routed_now,
-                    ripups,
-                    pressure: history.pressure_cells(),
-                    completion_milli: routed_now * 1000 / edges.len().max(1) as u64,
-                });
-            }
-
-            if done {
-                return NegotiationOutcome {
-                    paths,
-                    iterations,
-                    complete: true,
-                    ripups,
-                };
-            }
-            if iterations >= self.gamma {
-                // Leave the partial result blocked-out rolled back: the
-                // caller decides what to do with the failure.
-                obs.rollback(outer_cp);
-                return NegotiationOutcome {
-                    paths,
-                    iterations,
-                    complete: false,
-                    ripups,
-                };
-            }
-            // Steps 17–19: bump history along every routed path, then rip
-            // all paths up.
-            let round_ripups = paths.iter().flatten().count() as u64;
-            if pacor_obs::flight_active() {
-                for (e, p) in paths.iter().enumerate() {
-                    if p.is_some() {
-                        pacor_obs::flight(|| FlightEvent::RipUp {
-                            session: fs,
-                            round: iterations,
-                            net: net_id(edges, e),
-                            reason: RipReason::FullPolicy,
-                        });
-                    }
-                }
-            }
-            ripups += round_ripups;
-            pacor_obs::counter_add("negotiate.ripups", round_ripups);
-            history.bump_all(paths.iter().flatten().map(|p| p.cells()));
-            obs.rollback(cp);
-        }
-    }
-
-    /// Incremental negotiation: converged paths stay put between rounds;
-    /// only failed edges and the routed paths that wall them in are
-    /// ripped up and retried, and history is bumped only along ripped
-    /// paths.
-    ///
-    /// A failed A\* search expands the entire free region reachable from
-    /// its sources, so the scratch's touched-cell set identifies the
-    /// contended region for free; routed cells adjacent to that region
-    /// are the walls, and the per-cell [`OwnerIndex`] maps them to the
-    /// nets to evict.
-    fn route_incremental(
-        &self,
-        obs: &mut ObsMap,
-        edges: &[RouteRequest],
-        scratch: &mut AStarScratch,
-        fs: u32,
-        ts: u32,
-    ) -> NegotiationOutcome {
         let (width, height) = (obs.width() as usize, obs.height() as usize);
         let mut history = HistoryCost::with_params(obs.width(), obs.height(), self.base, self.alpha);
         let outer_cp = obs.checkpoint();
@@ -563,9 +385,9 @@ impl NegotiationRouter {
         // while history accumulates on the contended cells, but a *rising*
         // one means the last eviction actively made the round worse —
         // local rip-up is thrashing. That round escalates to a full
-        // rip-up (Full semantics with the history accumulated so far),
-        // which restores the paper algorithm's ability to re-plan every
-        // net at once.
+        // rip-up (every routed path, with the history accumulated so
+        // far), which restores the paper algorithm's ability to re-plan
+        // every net at once.
         let mut prev_failed = usize::MAX;
 
         loop {
@@ -574,14 +396,14 @@ impl NegotiationRouter {
             let _round = pacor_obs::span_with("negotiate.round", &[("round", iterations as u64)]);
             let mut failed: Vec<usize> = Vec::new();
             // Contended cells recorded from failed searches; `rip_all`
-            // falls back to Full semantics when a failed search bypassed
+            // falls back to a full rip-up when a failed search bypassed
             // the flat kernel (out-of-bounds terminals) and left no
             // touched-cell record.
             let mut contended: Vec<Point> = Vec::new();
             let mut rip_all = false;
 
             let mut opaque = false;
-            let attempts = attempt_round(obs, &history, edges, &pending, scratch);
+            let attempts = attempt_round(obs, &history, edges, &pending, &mut scratch);
             for (attempt, &e) in attempts.into_iter().zip(&pending) {
                 match attempt {
                     Attempt::Routed(p, expanded) => {
@@ -874,55 +696,10 @@ mod tests {
     }
 
     #[test]
-    fn both_policies_resolve_crossing_demand() {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let mut obs = open(9, 9);
-            let edges = vec![
-                RouteRequest::point_to_point(Point::new(1, 4), Point::new(7, 4)),
-                RouteRequest::point_to_point(Point::new(4, 1), Point::new(4, 7)),
-            ];
-            let out = NegotiationRouter::new()
-                .with_ripup_policy(policy)
-                .route_all(&mut obs, &edges);
-            assert!(out.complete, "{policy:?}");
-            let a = out.paths[0].as_ref().unwrap();
-            let b = out.paths[1].as_ref().unwrap();
-            for c in a.iter() {
-                assert!(!b.contains(*c), "{policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn both_policies_restore_obsmap_on_failure() {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            let mut g = Grid::new(7, 3).unwrap();
-            for x in 0..7 {
-                g.set_obstacle(Point::new(x, 0));
-                g.set_obstacle(Point::new(x, 2));
-            }
-            let mut obs = ObsMap::new(&g);
-            let before = obs.blocked_count();
-            let edges = vec![
-                RouteRequest::point_to_point(Point::new(0, 1), Point::new(6, 1)),
-                RouteRequest::point_to_point(Point::new(1, 1), Point::new(5, 1)),
-            ];
-            let out = NegotiationRouter::new()
-                .with_gamma(3)
-                .with_ripup_policy(policy)
-                .route_all(&mut obs, &edges);
-            assert!(!out.complete, "{policy:?}");
-            assert_eq!(obs.blocked_count(), before, "{policy:?}");
-        }
-    }
-
-    #[test]
     fn incremental_keeps_untouched_paths() {
         // Edge 0 routes along y=1 far from the congestion around x=4..
         // When edges 1 and 2 fight over the center corridor, edge 0's
-        // path must survive untouched (zero ripups charged to it would
-        // show up as ripups <= Full's count; here we check the stronger
-        // property that its path is identical to a solo route).
+        // path must survive untouched: identical to a solo route.
         let mut g = Grid::new(11, 11).unwrap();
         // A wall with a single gap at (5, 5) splits rows 4..=6.
         for x in 1..10 {
@@ -944,20 +721,9 @@ mod tests {
             RouteRequest::point_to_point(Point::new(5, 3), Point::new(5, 7)),
             RouteRequest::point_to_point(Point::new(3, 4), Point::new(7, 6)),
         ];
-        let out = NegotiationRouter::new()
-            .with_ripup_policy(RipUpPolicy::Incremental)
-            .route_all(&mut obs, &edges);
+        let out = NegotiationRouter::new().route_all(&mut obs, &edges);
         assert!(out.complete);
         assert_eq!(out.paths[0].as_ref().unwrap().cells(), solo.cells());
-    }
-
-    #[test]
-    fn policy_parse_roundtrip() {
-        for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-            assert_eq!(RipUpPolicy::parse(policy.label()), Some(policy));
-        }
-        assert_eq!(RipUpPolicy::parse("bogus"), None);
-        assert_eq!(RipUpPolicy::default(), RipUpPolicy::Incremental);
     }
 
     #[test]

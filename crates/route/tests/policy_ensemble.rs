@@ -1,16 +1,16 @@
-//! Deterministic fixed-seed ensemble comparing the two rip-up policies.
+//! Deterministic fixed-seed ensemble pinning the negotiation router's
+//! aggregate behavior.
 //!
-//! Per-case claims like "incremental never takes more rounds" are *not*
-//! theorems — evicting only contended victims can occasionally discover a
-//! worse ordering than replanning everything, and the no-progress
-//! escalation costs an extra round when it fires. What the incremental
-//! policy does guarantee is aggregate behavior: over a fixed random
-//! ensemble it rips strictly fewer paths in total while completing the
-//! same workloads. Because the seed is pinned, these sums are exact and
-//! the test never flakes; a regression in either policy shifts them.
+//! Per-case claims like "never more than N rounds" are not theorems —
+//! evicting only contended victims can occasionally discover a worse
+//! ordering than replanning everything, and the no-progress escalation
+//! costs an extra round when it fires. Over a fixed random ensemble the
+//! totals are exact, so this test never flakes; a change to victim
+//! selection, escalation or history shifts them and must re-pin them
+//! with a reason.
 
 use pacor_grid::{Grid, ObsMap, Point};
-use pacor_route::{NegotiationRouter, RipUpPolicy, RouteRequest};
+use pacor_route::{NegotiationRouter, RouteRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,28 +42,18 @@ fn random_case(rng: &mut StdRng) -> (ObsMap, Vec<RouteRequest>) {
 }
 
 #[test]
-fn incremental_rips_fewer_paths_over_ensemble() {
+fn ensemble_totals_are_pinned() {
     let mut rng = StdRng::seed_from_u64(1);
-    let (mut sum_ripups_full, mut sum_ripups_inc) = (0u64, 0u64);
-    let (mut n_complete_full, mut n_complete_inc) = (0i64, 0i64);
+    let (mut sum_ripups, mut n_complete) = (0u64, 0u64);
     let mut contended = 0usize;
     for _ in 0..CASES {
-        let (base, edges) = random_case(&mut rng);
-        let mut obs_full = base.clone();
-        let mut obs_inc = base;
-        let full = NegotiationRouter::new()
-            .with_ripup_policy(RipUpPolicy::Full)
-            .route_all(&mut obs_full, &edges);
-        let inc = NegotiationRouter::new()
-            .with_ripup_policy(RipUpPolicy::Incremental)
-            .route_all(&mut obs_inc, &edges);
-        if full.iterations > 1 || inc.iterations > 1 {
+        let (mut obs, edges) = random_case(&mut rng);
+        let out = NegotiationRouter::new().route_all(&mut obs, &edges);
+        if out.iterations > 1 {
             contended += 1;
         }
-        sum_ripups_full += full.ripups;
-        sum_ripups_inc += inc.ripups;
-        n_complete_full += i64::from(full.complete);
-        n_complete_inc += i64::from(inc.complete);
+        sum_ripups += out.ripups;
+        n_complete += u64::from(out.complete);
     }
     // The ensemble must genuinely exercise negotiation, not converge on
     // round 1 everywhere.
@@ -71,17 +61,6 @@ fn incremental_rips_fewer_paths_over_ensemble() {
         contended > 100,
         "only {contended}/{CASES} cases saw contention — ensemble too sparse"
     );
-    // The headline claim: strictly fewer rip-ups in aggregate.
-    assert!(
-        sum_ripups_inc < sum_ripups_full,
-        "incremental ripped {sum_ripups_inc} paths vs full's {sum_ripups_full}"
-    );
-    // Completeness parity: individual cases may flip either way (different
-    // rip sets explore different orderings), but the ensemble totals must
-    // stay within 1% of each other.
-    let tolerance = (CASES / 100) as i64;
-    assert!(
-        (n_complete_full - n_complete_inc).abs() <= tolerance,
-        "completion imbalance: full {n_complete_full} vs incremental {n_complete_inc}"
-    );
+    assert_eq!(sum_ripups, 1610, "ensemble rip-up total moved");
+    assert_eq!(n_complete, 1445, "ensemble completion total moved");
 }

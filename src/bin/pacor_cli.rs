@@ -27,16 +27,7 @@
 //! * `--report-out <path>` — install the flight recorder around the run
 //!   and write the post-mortem report JSON (hottest cells, contended
 //!   nets, per-cluster LM slack, escape bottlenecks; byte-identical at
-//!   any `--threads`, and under either rip-up policy whenever the
-//!   policies route the same result).
-//! * `--ripup-policy full|incremental` — what negotiation rips up between
-//!   failed rounds (default `incremental`; `full` is the paper's
-//!   Algorithm 1, kept for ablation).
-//! * `--escape-solver incremental|reference` — which solver drives the
-//!   escape stage (default `incremental`: persistent network with delta
-//!   edits, warm-started min-cost flow and windowed recovery solves;
-//!   `reference` rebuilds and cold-solves every round — kept for
-//!   ablation, routes the identical result).
+//!   any `--threads`).
 //! * `--routing-mode flat|hierarchical` — one detailed pass over the
 //!   whole chip (default `flat`), or the global-then-detailed split:
 //!   gcell corridor planning, region-parallel detailed routing over
@@ -63,9 +54,7 @@
 //!   record (config fingerprint, deterministic outcome/counters/
 //!   histograms, per-cluster LM slack, span tree). Everything outside
 //!   the trailing `wall` sub-object is byte-identical at any
-//!   `--threads`, and under either rip-up policy whenever the policies
-//!   route the same result; compare two digests with
-//!   `tables compare`.
+//!   `--threads`; compare two digests with `tables compare`.
 //! * `--ledger <path>` — atomically append the same digest as one
 //!   compact line to an append-only `RUNS.jsonl` run ledger, so later
 //!   runs can find their baseline (`pacor_obs::latest_baseline`).
@@ -73,11 +62,7 @@
 //! Unknown `--flags` are rejected with an error rather than silently
 //! treated as file names.
 
-use pacor::route::RipUpPolicy;
-use pacor::{
-    BenchDesign, EscapeSolver, FlowConfig, FlowVariant, PacorFlow, Problem, RouteReport,
-    RoutingMode,
-};
+use pacor::{BenchDesign, FlowConfig, FlowVariant, PacorFlow, Problem, RouteReport, RoutingMode};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,7 +73,7 @@ fn main() {
         Some("table2") => cmd_table2(&args[1..]),
         _ => {
             eprintln!(
-                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--ripup-policy full|incremental] [--escape-solver incremental|reference] [--routing-mode flat|hierarchical] [--gcell-size N] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
+                "usage: pacor synth <design> [seed]\n       pacor route [--threads N] [--trace-out FILE] [--metrics-out FILE] [--report-out FILE] [--digest-out FILE] [--ledger FILE] [--stream-out FILE|-] [--progress] [--watchdog BENCH.json] [--routing-mode flat|hierarchical] [--gcell-size N] [--quiet] <problem.json|design>\n       pacor render [--threads N] <problem.json|design>\n       pacor table2 [--full] [--threads N]"
             );
             2
         }
@@ -121,8 +106,6 @@ struct Options {
     stream_out: Option<String>,
     progress: bool,
     watchdog: Option<String>,
-    ripup_policy: Option<RipUpPolicy>,
-    escape_solver: Option<EscapeSolver>,
     routing_mode: Option<RoutingMode>,
     gcell_size: Option<u32>,
     quiet: bool,
@@ -169,18 +152,6 @@ fn parse_options(args: &[String], allowed: &[&str]) -> Result<Options, String> {
             "--stream-out" => opts.stream_out = Some(value()?),
             "--progress" => opts.progress = true,
             "--watchdog" => opts.watchdog = Some(value()?),
-            "--ripup-policy" => {
-                let v = value()?;
-                opts.ripup_policy = Some(RipUpPolicy::parse(&v).ok_or_else(|| {
-                    format!("--ripup-policy: expected full or incremental, got {v:?}")
-                })?);
-            }
-            "--escape-solver" => {
-                let v = value()?;
-                opts.escape_solver = Some(EscapeSolver::parse(&v).ok_or_else(|| {
-                    format!("--escape-solver: expected incremental or reference, got {v:?}")
-                })?);
-            }
             "--routing-mode" => {
                 let v = value()?;
                 opts.routing_mode = Some(RoutingMode::parse(&v).ok_or_else(|| {
@@ -321,8 +292,6 @@ fn cmd_route(args: &[String]) -> i32 {
             "--stream-out",
             "--progress",
             "--watchdog",
-            "--ripup-policy",
-            "--escape-solver",
             "--routing-mode",
             "--gcell-size",
             "--quiet",
@@ -354,8 +323,6 @@ fn cmd_route(args: &[String]) -> i32 {
     let session = wants_obs.then(pacor::obs::Session::begin);
     let mut config = FlowConfig::default()
         .with_threads(opts.threads)
-        .with_ripup_policy(opts.ripup_policy.unwrap_or_default())
-        .with_escape_solver(opts.escape_solver.unwrap_or_default())
         .with_routing_mode(opts.routing_mode.unwrap_or_default());
     if let Some(gcell) = opts.gcell_size {
         config = config.with_gcell_size(gcell);

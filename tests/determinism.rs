@@ -6,7 +6,6 @@
 //! which are normalized away before comparing — the `metrics.counters`
 //! totals and task counts are deterministic and compared in full.
 
-use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{
     synthesize_params, BenchDesign, DesignParams, FlowConfig, FlowMetrics, PacorFlow, RouteReport,
     RoutedCluster,
@@ -98,11 +97,15 @@ fn flow_metrics_counters_are_thread_count_invariant() {
 }
 
 #[test]
-fn ripup_policies_are_thread_count_invariant() {
+fn dense_chip_is_thread_count_invariant() {
     // A chip dense enough that negotiation actually rips paths up, so
-    // the incremental policy's owner-index bookkeeping is on the hook:
-    // its victim selection and history bumps must be identical whether
-    // the LM stage fans out across threads or runs sequentially.
+    // the owner-index bookkeeping is on the hook: nets and MST clusters
+    // are routed one after another against the live obstacle map, and
+    // victim selection and history bumps must not depend on whether the
+    // data-parallel stages fan out. The whole flow — report, geometry,
+    // and the observability counter totals — must be byte-identical at
+    // every worker-thread count. Sparse designs converge in one round
+    // and would not exercise rip-up at all.
     let dense = DesignParams {
         name: "D1-dense24",
         width: 24,
@@ -114,77 +117,28 @@ fn ripup_policies_are_thread_count_invariant() {
         pairs_only: false,
     };
     let problem = synthesize_params(dense, 42);
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let run = |threads: usize| {
-            let flow = PacorFlow::new(
-                FlowConfig::default()
-                    .with_threads(threads)
-                    .with_ripup_policy(policy),
-            );
-            let (report, routed) = flow.run_detailed(&problem).expect("dense chip routes");
-            (normalized(&report), geometry(&routed))
-        };
-        let single = run(1);
-        let multi = run(4);
-        assert_eq!(
-            single.0, multi.0,
-            "{policy:?} report differs between 1 and 4 threads"
-        );
-        assert_eq!(
-            single.1, multi.1,
-            "{policy:?} geometry differs between 1 and 4 threads"
-        );
-    }
-}
-
-#[test]
-fn negotiation_modes_are_thread_count_invariant() {
-    // Negotiation has a single, serial round path: nets and MST clusters
-    // are routed one after another against the live obstacle map, so the
-    // whole flow — report, geometry, and the observability counter
-    // totals — must be byte-identical at every worker-thread count,
-    // under both rip-up policies. The same dense chip as
-    // `ripup_policies_are_thread_count_invariant`: sparse designs
-    // converge in one round and would not exercise rip-up at all.
-    let dense = DesignParams {
-        name: "D1-dense24",
-        width: 24,
-        height: 24,
-        valves: 18,
-        control_pins: 40,
-        obstacles: 50,
-        multi_clusters: 8,
-        pairs_only: false,
+    let run = |threads: usize| {
+        let session = pacor_repro::pacor::obs::Session::begin();
+        let flow = PacorFlow::new(FlowConfig::default().with_threads(threads));
+        let (report, routed) = flow.run_detailed(&problem).expect("dense chip routes");
+        let metrics = pacor_repro::pacor::obs::metrics_json(&session.finish());
+        (normalized(&report), geometry(&routed), metrics)
     };
-    let problem = synthesize_params(dense, 42);
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        let run = |threads: usize| {
-            let session = pacor_repro::pacor::obs::Session::begin();
-            let flow = PacorFlow::new(
-                FlowConfig::default()
-                    .with_threads(threads)
-                    .with_ripup_policy(policy),
-            );
-            let (report, routed) = flow.run_detailed(&problem).expect("dense chip routes");
-            let metrics = pacor_repro::pacor::obs::metrics_json(&session.finish());
-            (normalized(&report), geometry(&routed), metrics)
-        };
-        let baseline = run(1);
-        for threads in [2, 4, 8] {
-            let multi = run(threads);
-            assert_eq!(
-                baseline.0, multi.0,
-                "{policy:?} report differs between 1 and {threads} threads"
-            );
-            assert_eq!(
-                baseline.1, multi.1,
-                "{policy:?} geometry differs between 1 and {threads} threads"
-            );
-            assert_eq!(
-                baseline.2, multi.2,
-                "{policy:?} metrics bytes differ between 1 and {threads} threads"
-            );
-        }
+    let baseline = run(1);
+    for threads in [2, 4, 8] {
+        let multi = run(threads);
+        assert_eq!(
+            baseline.0, multi.0,
+            "report differs between 1 and {threads} threads"
+        );
+        assert_eq!(
+            baseline.1, multi.1,
+            "geometry differs between 1 and {threads} threads"
+        );
+        assert_eq!(
+            baseline.2, multi.2,
+            "metrics bytes differ between 1 and {threads} threads"
+        );
     }
 }
 

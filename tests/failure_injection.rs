@@ -3,7 +3,7 @@
 
 use pacor_repro::grid::Point;
 use pacor_repro::pacor::{
-    verify_layout, BenchDesign, FlowConfig, FlowVariant, PacorFlow, Problem,
+    verify_layout, BenchDesign, FlowConfig, FlowError, FlowVariant, PacorFlow, Problem,
 };
 use pacor_repro::valves::{Valve, ValveId};
 
@@ -129,13 +129,15 @@ fn zero_candidates_config_is_clamped() {
 
 #[test]
 fn duplicate_pins_are_harmless() {
-    let problem = Problem::builder("dups", 12, 12)
+    // A pin listed twice is an inconsistent problem: validation names it
+    // with a typed error instead of letting the flow run on it.
+    let err = Problem::builder("dups", 12, 12)
         .valve(valve(0, 6, 6, "0"))
         .pins([Point::new(0, 5), Point::new(0, 5), Point::new(0, 7)])
         .build()
-        .unwrap();
-    let report = PacorFlow::new(FlowConfig::default()).run(&problem).unwrap();
-    assert_eq!(report.completion_rate(), 1.0);
+        .unwrap_err();
+    assert!(matches!(err, FlowError::InvalidProblem(_)), "{err}");
+    assert!(err.to_string().contains("listed twice"), "{err}");
 }
 
 #[test]

@@ -4,8 +4,10 @@
 //! the length-matching guarantee on matched clusters.
 
 use pacor_repro::grid::Point;
-use pacor_repro::pacor::{EscapeSolver, FlowConfig, FlowVariant, PacorFlow, Problem};
-use pacor_repro::route::RipUpPolicy;
+use pacor_repro::pacor::{
+    synthesize_params, BenchDesign, FlowConfig, FlowMetrics, FlowVariant, PacorFlow, Problem,
+    RouteReport, FLOW_BENCH_CHIPS,
+};
 use pacor_repro::valves::{ActivationSequence, ActivationStatus, Valve, ValveId};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -135,25 +137,21 @@ proptest! {
         // The persistent-network escape solver (delta edits, warm-started
         // min-cost flow, windowed recovery) must route the *identical*
         // geometry as the full-rebuild reference, across the de-cluster
-        // and rip-up sequences these dense random instances provoke,
-        // under either negotiation rip-up policy.
-        for policy in [RipUpPolicy::Incremental, RipUpPolicy::Full] {
-            let base = FlowConfig::default().with_ripup_policy(policy);
-            let (_, inc) = PacorFlow::new(base.with_escape_solver(EscapeSolver::Incremental))
-                .run_detailed(&problem)
-                .expect("valid problem");
-            let (_, reference) = PacorFlow::new(base.with_escape_solver(EscapeSolver::Reference))
-                .run_detailed(&problem)
-                .expect("valid problem");
-            prop_assert_eq!(inc.len(), reference.len());
-            for (a, b) in inc.iter().zip(reference.iter()) {
-                prop_assert_eq!(a.cluster.id(), b.cluster.id());
-                prop_assert_eq!(a.net_cells(), b.net_cells(), "net geometry diverged");
-                let esc = |rc: &pacor_repro::pacor::RoutedCluster| {
-                    rc.escape.as_ref().map(|(p, pin)| (p.cells().to_vec(), *pin))
-                };
-                prop_assert_eq!(esc(a), esc(b), "escape geometry diverged");
-            }
+        // and rip-up sequences these dense random instances provoke.
+        let flow = PacorFlow::new(FlowConfig::default());
+        let (_, inc) = flow.run_detailed(&problem).expect("valid problem");
+        let (_, reference) = flow
+            .with_reference_escape()
+            .run_detailed(&problem)
+            .expect("valid problem");
+        prop_assert_eq!(inc.len(), reference.len());
+        for (a, b) in inc.iter().zip(reference.iter()) {
+            prop_assert_eq!(a.cluster.id(), b.cluster.id());
+            prop_assert_eq!(a.net_cells(), b.net_cells(), "net geometry diverged");
+            let esc = |rc: &pacor_repro::pacor::RoutedCluster| {
+                rc.escape.as_ref().map(|(p, pin)| (p.cells().to_vec(), *pin))
+            };
+            prop_assert_eq!(esc(a), esc(b), "escape geometry diverged");
         }
     }
 
@@ -182,6 +180,42 @@ proptest! {
         prop_assert!(
             totals.iter().all(|&t| t + 1 >= problem.valve_count()),
             "variant lost more than one valve: {totals:?}"
+        );
+    }
+}
+
+/// The report JSON with the wall-clock fields and work counters zeroed:
+/// everything the two escape solvers must agree on byte for byte.
+fn routed_result_json(report: &RouteReport) -> String {
+    let mut r = report.clone();
+    r.runtime = std::time::Duration::ZERO;
+    r.metrics = FlowMetrics::default();
+    serde_json::to_string(&r).expect("reports serialize")
+}
+
+#[test]
+fn escape_solvers_agree_on_report() {
+    // The incremental escape solver must route the identical result as
+    // the full-rebuild reference. B2-dense48 is the densest bench chip
+    // that still runs in seconds, with enough escape contention to
+    // exercise de-clustering, rip-up recovery and warm re-solves.
+    let b2 = FLOW_BENCH_CHIPS
+        .iter()
+        .find(|c| c.name == "B2-dense48")
+        .copied()
+        .expect("B2-dense48 is a bench chip");
+    for problem in [BenchDesign::S2.synthesize(42), synthesize_params(b2, 42)] {
+        let flow = PacorFlow::new(FlowConfig::default());
+        let incremental = flow.run(&problem).expect("bench chips route");
+        let reference = flow
+            .with_reference_escape()
+            .run(&problem)
+            .expect("bench chips route");
+        assert_eq!(
+            routed_result_json(&incremental),
+            routed_result_json(&reference),
+            "{}: reference and incremental escape reports diverge",
+            problem.name
         );
     }
 }

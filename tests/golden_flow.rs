@@ -19,7 +19,6 @@
 
 use pacor_bench::{BENCH_SEED, FLOW_BENCH_CHIPS, FLOW_SMOKE_CHIP};
 use pacor_repro::pacor::obs;
-use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{synthesize_params, DesignParams, FlowConfig, PacorFlow};
 use std::path::PathBuf;
 
@@ -33,17 +32,16 @@ fn fixture_dir() -> PathBuf {
 /// The deterministic scalar outcome of one run, serialized as the
 /// metrics fixture. Key order is fixed by serde_json's BTreeMap map
 /// representation, so the bytes are stable.
-fn metrics_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
+fn metrics_snapshot(params: DesignParams) -> String {
     let problem = synthesize_params(params, BENCH_SEED);
-    let config = FlowConfig::default().with_ripup_policy(policy);
-    let report = PacorFlow::new(config)
+    let report = PacorFlow::new(FlowConfig::default())
         .run(&problem)
         .expect("bench chips route");
     let c = |name: &str| report.metrics.counter(name);
     // Hand-built JSON (the vendored serde_json has no `json!`): fixed
     // key order, `{:?}` for the f64 (shortest round-trip formatting).
     format!(
-        "{{\n  \"chip\": \"{}\",\n  \"policy\": \"{}\",\n  \"seed\": {},\n  \
+        "{{\n  \"chip\": \"{}\",\n  \"seed\": {},\n  \
          \"total_length\": {},\n  \"completion_rate\": {:?},\n  \
          \"valves_routed\": {},\n  \"valves_total\": {},\n  \
          \"matched_clusters\": {},\n  \"matched_length\": {},\n  \
@@ -52,7 +50,6 @@ fn metrics_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
          \"escape_declustered\": {},\n  \"astar_queries\": {},\n  \
          \"astar_expansions\": {},\n  \"detour_segments\": {}\n}}\n",
         params.name,
-        policy.label(),
         BENCH_SEED,
         report.total_length,
         report.completion_rate(),
@@ -73,9 +70,9 @@ fn metrics_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
 }
 
 /// The post-mortem report bytes of one flight-recorded run.
-fn postmortem_snapshot(params: DesignParams, policy: RipUpPolicy) -> String {
+fn postmortem_snapshot(params: DesignParams) -> String {
     let problem = synthesize_params(params, BENCH_SEED);
-    let config = FlowConfig::default().with_ripup_policy(policy);
+    let config = FlowConfig::default();
     obs::flight_install(config.recorder_config());
     PacorFlow::new(config)
         .run(&problem)
@@ -108,16 +105,11 @@ fn check_or_update(name: &str, actual: &str) {
 }
 
 fn check_chip(params: DesignParams) {
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        check_or_update(
-            &format!("{}-{}.json", params.name, policy.label()),
-            &metrics_snapshot(params, policy),
-        );
-        check_or_update(
-            &format!("{}-{}.report.json", params.name, policy.label()),
-            &postmortem_snapshot(params, policy),
-        );
-    }
+    check_or_update(&format!("{}.json", params.name), &metrics_snapshot(params));
+    check_or_update(
+        &format!("{}.report.json", params.name),
+        &postmortem_snapshot(params),
+    );
 }
 
 #[test]

@@ -1,11 +1,10 @@
-//! Anti-rot guard for `docs/OBSERVABILITY.md`: run a smoke flow that
-//! exercises both rip-up policies with the flight recorder installed and the telemetry stream collecting, and
+//! Anti-rot guard for `docs/OBSERVABILITY.md`: run a smoke flow with
+//! the flight recorder installed and the telemetry stream collecting, and
 //! assert that every counter, histogram, span, instant, recorder-event
 //! name, and telemetry event kind actually emitted appears in the
 //! catalog. Adding an emit site without cataloging it fails here.
 
 use pacor_repro::pacor::obs::{self, TraceEvent};
-use pacor_repro::pacor::route::RipUpPolicy;
 use pacor_repro::pacor::{self, synthesize_params, DesignParams, FlowConfig, PacorFlow, RoutingMode};
 use std::collections::BTreeSet;
 
@@ -41,11 +40,9 @@ fn every_emitted_name_is_catalogued() {
     let lines_handle = sink.lines();
     obs::telemetry_install(obs::TelemetryConfig::deterministic(), vec![Box::new(sink)]);
     let mut kinds: BTreeSet<&'static str> = BTreeSet::new();
-    for policy in [RipUpPolicy::Full, RipUpPolicy::Incremental] {
-        PacorFlow::new(config.with_ripup_policy(policy))
-            .run(&problem)
-            .expect("dense chip routes");
-    }
+    PacorFlow::new(config)
+        .run(&problem)
+        .expect("dense chip routes");
     // A multi-region hierarchical run (gcell smaller than the chip), so
     // the `global.*` counters/histogram and the global/regions/stitch/
     // repair emit sites are guarded too.
