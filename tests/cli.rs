@@ -164,22 +164,41 @@ fn metrics_out_identical_at_one_and_four_threads() {
     assert_eq!(single, multi, "metrics bytes must not depend on --threads");
 }
 
+/// `pacor-cli route FLAG VALUE S1` must exit 2 and name FLAG as unknown.
+fn assert_unknown_route_flag(flag: &str, value: &str) {
+    let out = pacor(&["route", flag, value, "S1"]);
+    assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("unknown option {flag}")),
+        "must name the rejected flag: {err}"
+    );
+}
+
 #[test]
-fn route_rejects_removed_option_flags() {
-    // The negotiation mode, rip-up policy and escape solver are fixed;
-    // their former switches are unknown flags now, whatever their value.
-    for (flag, value) in [
-        ("--negotiation-mode", "parallel"),
-        ("--ripup-policy", "full"),
-        ("--escape-solver", "reference"),
-    ] {
-        let out = pacor(&["route", flag, value, "S1"]);
-        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains(&format!("unknown option {flag}")),
-            "must name the rejected flag: {err}"
-        );
+fn route_rejects_bad_ripup_policy() {
+    // Negotiation has one rip-up policy; the former switch is an
+    // unknown flag now, whatever its value.
+    for policy in ["full", "incremental"] {
+        assert_unknown_route_flag("--ripup-policy", policy);
+    }
+}
+
+#[test]
+fn route_rejects_bad_negotiation_mode() {
+    // Negotiation always routes serially; the former mode switch is an
+    // unknown flag now, whatever its value.
+    for mode in ["serial", "parallel"] {
+        assert_unknown_route_flag("--negotiation-mode", mode);
+    }
+}
+
+#[test]
+fn route_rejects_bad_escape_solver() {
+    // The full-rebuild escape solver is a test oracle, not a user
+    // option; the former switch is an unknown flag now.
+    for solver in ["incremental", "reference"] {
+        assert_unknown_route_flag("--escape-solver", solver);
     }
 }
 

@@ -96,16 +96,9 @@ fn flow_metrics_counters_are_thread_count_invariant() {
     }
 }
 
-#[test]
-fn dense_chip_is_thread_count_invariant() {
-    // A chip dense enough that negotiation actually rips paths up, so
-    // the owner-index bookkeeping is on the hook: nets and MST clusters
-    // are routed one after another against the live obstacle map, and
-    // victim selection and history bumps must not depend on whether the
-    // data-parallel stages fan out. The whole flow — report, geometry,
-    // and the observability counter totals — must be byte-identical at
-    // every worker-thread count. Sparse designs converge in one round
-    // and would not exercise rip-up at all.
+/// A chip dense enough that negotiation actually rips paths up. Sparse
+/// designs converge in one round and would not exercise rip-up at all.
+fn dense_chip() -> pacor_repro::pacor::Problem {
     let dense = DesignParams {
         name: "D1-dense24",
         width: 24,
@@ -116,7 +109,48 @@ fn dense_chip_is_thread_count_invariant() {
         multi_clusters: 8,
         pairs_only: false,
     };
-    let problem = synthesize_params(dense, 42);
+    synthesize_params(dense, 42)
+}
+
+#[test]
+fn ripup_policies_are_thread_count_invariant() {
+    // Negotiation has one rip-up policy: rip the paths on contended
+    // cells, escalating to a full rip-up when a round regresses. Its
+    // victim choice must not depend on the worker-thread count, and the
+    // dense chip must really exercise it — several rounds with rip-ups —
+    // or the thread-count comparisons below prove nothing about it.
+    let problem = dense_chip();
+    let negotiation = |threads: usize| {
+        let metrics = PacorFlow::new(FlowConfig::default().with_threads(threads))
+            .run(&problem)
+            .expect("dense chip routes")
+            .metrics;
+        (
+            metrics.counter("negotiate.rounds"),
+            metrics.counter("negotiate.ripups"),
+        )
+    };
+    let (rounds, ripups) = negotiation(1);
+    assert!(rounds > 1, "dense chip must negotiate past round 1");
+    assert!(ripups > 0, "dense chip must rip paths up");
+    for threads in [2, 4, 8] {
+        assert_eq!(
+            (rounds, ripups),
+            negotiation(threads),
+            "rounds/rip-ups differ between 1 and {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn negotiation_modes_are_thread_count_invariant() {
+    // Negotiation has a single, serial round path: nets and MST clusters
+    // are routed one after another against the live obstacle map, so
+    // victim selection and history bumps must not depend on whether the
+    // data-parallel stages fan out. The whole flow — report, geometry,
+    // and the observability counter totals — must be byte-identical at
+    // every worker-thread count.
+    let problem = dense_chip();
     let run = |threads: usize| {
         let session = pacor_repro::pacor::obs::Session::begin();
         let flow = PacorFlow::new(FlowConfig::default().with_threads(threads));
